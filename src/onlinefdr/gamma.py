@@ -44,10 +44,17 @@ class GammaSequence:
         raw: Callable[[np.ndarray], np.ndarray],
         tail_integral: Callable[[float], float],
         truncation: int = DEFAULT_TRUNCATION,
-        horizon_hint: int = 1024,
     ):
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
+        # Raw weights only decrease, so a zero here means gamma_j = 0 from
+        # some j on: the sequence would not be positive.
+        f_last = float(raw(np.array([float(truncation)]))[0])
+        if not f_last > 0.0:
+            raise ValueError(
+                f"raw weights for {spec!r} underflow to zero by the truncation "
+                f"point {truncation}; the sequence would not be positive"
+            )
         self._spec = spec
         self._raw = raw
         self._tail_integral = tail_integral
@@ -64,7 +71,6 @@ class GammaSequence:
 
         # The tail estimate assumes the raw weights are already non-increasing
         # beyond the truncation point, i.e. the running minimum has caught up.
-        f_last = float(raw(np.array([float(truncation)]))[0])
         if not math.isclose(running_min, f_last, rel_tol=1e-12):
             raise ValueError(
                 f"raw weights for {spec!r} are not non-increasing near the "
@@ -73,7 +79,6 @@ class GammaSequence:
 
         self._values = np.empty(0)
         self._min_raw = math.inf
-        self._extend(max(horizon_hint, 64))
 
     def _summed_head(self, n: int) -> tuple[float, float]:
         """Sum of the first n raw weights after the running-minimum repair."""
@@ -215,8 +220,8 @@ def canonical_spec(spec: str) -> str:
             s = float(arg)
         except ValueError:
             raise ValueError(f"bad power-law exponent in gamma spec {spec!r}") from None
-        if not s > 1:
-            raise ValueError(f"power-law exponent must be > 1, got {s}")
+        if not 1 < s < math.inf:
+            raise ValueError(f"power-law exponent must be finite and > 1, got {s}")
         return f"power:{s!r}"
     if name == "log-optimal":
         if arg:

@@ -20,6 +20,10 @@ Implemented procedures:
 * :class:`AlphaInvesting` -- the classic (non-monotone) wealth machine that
   spends a gamma-scheduled fraction of current wealth per test.
 
+The first three share one payout kernel on a clock of non-candidate steps
+(see ``_GammaInvesting``): a candidate step costs O(1), a tick one O(clock)
+contiguous dot product.
+
 All step counters, rejection times, and gamma indices are 1-based.
 """
 
@@ -152,57 +156,51 @@ class OnlineProcedure:
 
 
 class _GammaInvesting(OnlineProcedure):
-    """Shared bookkeeping for the gamma-scheduled procedures.
+    """The payout kernel shared by saffron, saffron-ai and lord.
 
-    Maintains rejection times tau_1 < tau_2 < ... (tau_0 = 0) and, for each
-    window opened by a rejection, the count of candidates observed strictly
-    before the current step.  Payout weights are W0 for the initial budget,
-    alpha - W0 for the first rejection, and alpha for every later one.
+    The payout is s_t = sum_j w_j gamma_{t - tau_j - C_j} over the windows
+    opened at tau_0 = 0 (weight W0) and at each rejection tau_j (alpha - W0
+    for the first, alpha after), where C_j counts the candidates strictly
+    between tau_j and t (none for lord).  A clock ticks on every non-candidate
+    step (every step for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j):
+    a rejection adds its weight at slot ``clock`` of one dense array, merging
+    with windows opened at the same clock value, and s_t is one contiguous dot
+    of the slots with the reversed gamma head.  s_t is cached until the next
+    tick or rejection.
     """
+
+    _ticks_on_candidates = False
 
     def __init__(self, alpha: float, w0: float, gamma: GammaSequence):
         super().__init__()
         self.alpha, self.w0 = _check_params(alpha, w0)
         self.gamma = gamma
-        cap = 64
-        self._tau = np.zeros(cap, dtype=np.int64)
-        self._cand = np.zeros(cap, dtype=np.int64)
-        self._weights = np.full(cap, self.alpha)
-        self._weights[0] = self.w0
-        self._weights[1] = self.alpha - self.w0
+        self._clock = 0
         self._nrej = 0
+        self._weights = np.zeros(1024)
+        self._weights[0] = self.w0
+        self._grev = gamma.head(1024)[::-1].copy()
+        self._s: float | None = None
 
-    @property
-    def rejection_times(self) -> list[int]:
-        return self._tau[1 : self._nrej + 1].tolist()
-
-    @property
-    def candidates_since(self) -> list[int]:
-        """Candidate counts per window: entry 0 precedes the first rejection."""
-        return self._cand[: self._nrej + 1].tolist()
-
-    def _grow(self) -> None:
-        cap = len(self._tau)
-        self._tau = np.concatenate([self._tau, np.zeros(cap, dtype=np.int64)])
-        self._cand = np.concatenate([self._cand, np.zeros(cap, dtype=np.int64)])
-        self._weights = np.concatenate([self._weights, np.full(cap, self.alpha)])
-
-    def _payout_sum(self, discounted: bool) -> float:
-        k = self._nrej + 1
-        idx = self._t - self._tau[:k]
-        if discounted:
-            idx = idx - self._cand[:k]
-        return float(self._weights[:k] @ self.gamma.at(idx))
+    def _payout(self) -> float:
+        if self._s is None:
+            n = self._clock + 1
+            self._s = float(self._weights[:n] @ self._grev[len(self._grev) - n :])
+        return self._s
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
-        if candidate:
-            self._cand[: self._nrej + 1] += 1
+        # Tick before placing the weight: lord's rejection step ticks, so its
+        # window starts one slot later; saffron's rejection (a candidate) never does.
+        if self._ticks_on_candidates or not candidate:
+            self._clock += 1
+            if self._clock == len(self._weights):
+                self._weights = np.concatenate([self._weights, np.zeros_like(self._weights)])
+                self._grev = self.gamma.head(len(self._weights))[::-1].copy()
+            self._s = None
         if rejected:
             self._nrej += 1
-            if self._nrej + 1 == len(self._tau):
-                self._grow()
-            self._tau[self._nrej] = self._t
-            self._cand[self._nrej] = 0
+            self._weights[self._clock] += self.alpha - self.w0 if self._nrej == 1 else self.alpha
+            self._s = None
 
 
 class Saffron(_GammaInvesting):
@@ -227,8 +225,7 @@ class Saffron(_GammaInvesting):
         self.lam = float(lam)
 
     def _compute_levels(self) -> tuple[float, float]:
-        s = self._payout_sum(discounted=True)
-        return min(self.lam, (1.0 - self.lam) * s), self.lam
+        return min(self.lam, (1.0 - self.lam) * self._payout()), self.lam
 
 
 class AdaptiveSaffron(_GammaInvesting):
@@ -255,7 +252,7 @@ class AdaptiveSaffron(_GammaInvesting):
         self.h = h
 
     def _compute_levels(self) -> tuple[float, float]:
-        s = self._payout_sum(discounted=True)
+        s = self._payout()
         if self.h is None:
             a = s / (1.0 + s)
             return a, a
@@ -296,16 +293,15 @@ class Lord(_GammaInvesting):
     window are all distinct, the running spend satisfies
     sum_{j <= t} alpha_j <= alpha * max(|R(t)|, 1) deterministically.
 
-    There is no candidacy notion here; emitted records carry lam = alpha so
-    that candidate coincides with rejected.
+    There is no candidacy notion here: the kernel's clock ticks on every step,
+    and emitted records carry lam = alpha so that candidate equals rejected.
     """
 
-    def _compute_levels(self) -> tuple[float, float]:
-        a = self._payout_sum(discounted=False)
-        return a, a
+    _ticks_on_candidates = True
 
-    def _apply(self, rejected: bool, candidate: bool) -> None:
-        super()._apply(rejected, rejected)
+    def _compute_levels(self) -> tuple[float, float]:
+        a = self._payout()
+        return a, a
 
 
 class AlphaInvesting(OnlineProcedure):

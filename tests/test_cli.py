@@ -173,6 +173,20 @@ def test_stream_takes_single_procedure(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec", ["power:inf", "power:1e6"])
+def test_stream_gamma_underflow_is_an_error(spec, capsys, monkeypatch):
+    # j**-s underflows to zero: the sequence would stop paying out at step 2
+    code, out, err = run_cli(
+        capsys,
+        ["stream", "--alpha", "0.05", "--gamma", spec],
+        stdin_text="0.001\n0.8\n0.03\n0.5\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code != 0
+    assert err.startswith("error:")
+    assert out.splitlines()[1:] == []
+
+
 def test_offline_bh_rows(tmp_path, capsys):
     source = tmp_path / "p.txt"
     source.write_text("0.01\n0.02\n0.6\n0.8\n")

@@ -132,6 +132,15 @@ def test_bad_parameters_rejected():
         G.from_spec("log-optimal:3")
 
 
+@pytest.mark.parametrize(
+    "spec, reason", [("power:inf", "finite"), ("power:1e6", "underflow"), ("power:60", "underflow")]
+)
+def test_vanishing_sequence_rejected(spec, reason):
+    # j**-s is 0.0 in float64 by the truncation point, so gamma would not be positive
+    with pytest.raises(ValueError, match=reason):
+        G.from_spec(spec)
+
+
 def test_canonical_spec_round_trip():
     assert G.canonical_spec("power:1.60") == "power:1.6"
     assert G.canonical_spec("beta:0.50") == "beta:0.5"

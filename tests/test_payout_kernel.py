@@ -1,0 +1,107 @@
+"""Edge cases of the shared payout kernel against the replay oracle.
+
+Histories are built from segments: a gap of non-candidate steps (each one a
+clock tick for the saffron family) followed by a run of rejections ("R") or
+of candidates that are not rejections ("C").  Runs of rejections on candidate
+steps share one clock slot, a history that starts with "R" places the first
+rejection before any tick (merging it with W0), and the long gap pushes the
+clock past the kernel's initial 1024-slot buffers.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onlinefdr import gamma as G
+from onlinefdr.procedures import AdaptiveSaffron, Lord, Saffron, saffron_ai
+import replay_oracle as oracle
+
+ALPHA = 0.05
+LAM = 0.5
+LONG_GAP = 1100  # more than the 1024 slots the kernel starts with
+PROCEDURES = ("saffron", "saffron-ai", "saffron-sqrt", "lord")
+
+
+@pytest.fixture(scope="module")
+def g16():
+    return G.from_spec("power:1.6")
+
+
+def build(name, w0, gam):
+    if name == "saffron":
+        return Saffron(ALPHA, w0, gam, LAM)
+    if name == "saffron-ai":
+        return saffron_ai(ALPHA, w0, gam)
+    if name == "saffron-sqrt":
+        return AdaptiveSaffron(ALPHA, w0, gam, h=math.sqrt)
+    return Lord(ALPHA, w0, gam)
+
+
+def history(segments):
+    """Bits R, C and the step counts after each segment."""
+    R, C, ends = [], [], []
+    for gap, kind, run in segments:
+        R += [False] * gap + [kind == "R"] * run
+        C += [False] * gap + [True] * run
+        ends.append(len(R))
+    return R, C, ends
+
+
+def check_levels(name, w0, gam, R, C):
+    proc = build(name, w0, gam)
+    proc.load_history(R, C)
+    a, lam = proc.next_level()
+    assert proc.next_level() == (a, lam)  # idempotent until observed
+    if name == "lord":
+        assert a == lam == pytest.approx(oracle.lord_level(R, ALPHA, w0, gam), rel=1e-12)
+    elif name == "saffron":
+        assert (a, lam) == pytest.approx(oracle.saffron_levels(R, C, ALPHA, w0, gam, LAM), rel=1e-12)
+    elif name == "saffron-ai":
+        assert (a, lam) == pytest.approx(oracle.saffron_ai_levels(R, C, ALPHA, w0, gam), rel=1e-12)
+    else:
+        # h = sqrt: x / (1 - sqrt(x)) = s gives x = u^2 with u^2 + s u - s = 0;
+        # the bisection is accurate to its documented 1e-12 absolute tolerance
+        s = oracle.payout_sum(R, C, ALPHA, w0, gam, discounted=True)
+        u = (-s + math.sqrt(s * s + 4.0 * s)) / 2.0
+        assert a == pytest.approx(u * u, abs=2e-12)
+        assert lam == math.sqrt(a)
+    # the machine keeps stepping after the checked level
+    proc.observe(1.0)
+    assert proc.next_level() == proc.next_level()
+
+
+EDGE_HISTORIES = {
+    "burst-of-rejections": [(0, "R", 3), (2, "C", 2), (1, "R", 2), (3, "R", 1)],
+    "first-rejection-before-any-tick": [(0, "R", 1), (4, "C", 1), (5, "R", 1)],
+    "candidates-only": [(2, "C", 3), (1, "C", 1)],
+    "past-1024-ticks": [(3, "R", 1), (LONG_GAP, "C", 2), (40, "R", 2), (5, "R", 1)],
+    "rejection-burst-after-1024-ticks": [(0, "R", 2), (LONG_GAP, "R", 3)],
+}
+
+
+@pytest.mark.parametrize("w0", [ALPHA / 2, ALPHA], ids=["w0=alpha/2", "w0=alpha"])
+@pytest.mark.parametrize("name", PROCEDURES)
+@pytest.mark.parametrize("case", sorted(EDGE_HISTORIES))
+def test_edge_histories_match_replay_oracle(case, name, w0, g16):
+    R, C, ends = history(EDGE_HISTORIES[case])
+    for end in [0] + ends:
+        check_levels(name, w0, g16, R[:end], C[:end])
+
+
+segment = st.tuples(st.integers(0, 3), st.sampled_from("RC"), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.lists(segment, max_size=4),
+    gap=st.sampled_from([0, LONG_GAP]),
+    tail=st.lists(segment, max_size=4),
+    w0=st.sampled_from([ALPHA / 2, ALPHA]),
+    name=st.sampled_from(PROCEDURES),
+)
+def test_random_histories_match_replay_oracle(head, gap, tail, w0, name, g16):
+    R, C, ends = history(head + [(gap, "C", 1)] + tail)
+    for end in ends:
+        check_levels(name, w0, g16, R[:end], C[:end])

@@ -80,16 +80,18 @@ def test_saffron_p_one_changes_nothing(g2):
     proc.step(1.0)
     rec = proc.step(1.0)
     assert not rec.rejected and not rec.candidate
-    assert proc.rejection_times == []
-    assert proc.candidates_since == [0]
+    # no rejection and no candidate: the level is the empty-history one at t = 3
+    expected = oracle.saffron_levels([False, False], [False, False], ALPHA, W0, g2, lam=0.5)
+    assert proc.next_level() == pytest.approx(expected, rel=1e-12)
 
 
 def test_saffron_p_zero_always_rejects(g2):
     proc = Saffron(ALPHA, W0, g2)
     rec = proc.step(0.0)
     assert rec.rejected and rec.candidate
-    assert proc.rejection_times == [1]
-    assert proc.candidates_since == [1, 0]  # window 0 saw the candidate; new window empty
+    # window 0 saw the candidate (its index stays 1) and the new window starts at 1
+    expected = oracle.saffron_levels([True], [True], ALPHA, W0, g2, lam=0.5)
+    assert proc.next_level() == pytest.approx(expected, rel=1e-12)
 
 
 def test_saffron_scripted_stream_matches_replay_oracle(g2):
