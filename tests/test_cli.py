@@ -249,3 +249,491 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("procedure,gamma,")
+
+
+# ------------------------------------------------------------ transcript
+#
+# Exact exit code, stdout and stderr of each invocation, recorded from the
+# CLI as it stood before its option handling became table-driven.  Each case
+# runs in an empty working directory holding only its ``files``; help text is
+# laid out for 80 columns.
+
+A = ["--alpha", "0.05"]
+STREAM_P = "0.001\n0.8\n0.03\n0.0004\n0.6\n0.2\n1\n0\n0.01\n"
+SWEEP_CFG = (
+    "# grid\nalpha = 0.1\nmodel = beta:0.5:5\npi1 = 0.2, 0.8\nprocedure = saffron,lord\n"
+    'gamma = "power:1.8"\nT = 400\ntrials = 7\nseed = 3\njobs = 2\nprecision = 4\nlambda = 0.25\n'
+)
+GATE_CFG = "procedure = lord\ngamma = 'beta:0.5'\nalpha = 0.2\nw0 = 0.01\nlambda = 0.3\nprecision = 9\n"
+
+
+def case(case_id, argv, stdin="", files=None, *, code, out="", err=""):
+    return pytest.param(argv, stdin, files or {}, code, out, err, id=case_id)
+
+
+TRANSCRIPT = [
+    case("help", ["--help"], code=0,
+         out=(
+             "usage: onlinefdr [-h] {sweep,stream,offline} ...\n"
+             "\n"
+             "Command-line front end. Three subcommands: * ``sweep`` -- run a seeded Monte\n"
+             "Carlo grid over non-null fractions, procedures, and discount sequences; emit\n"
+             "the result table as CSV. * ``stream`` -- gatekeeper mode: read p-values one\n"
+             "per line (file or stdin) and print one decision record per line, before\n"
+             "reading the next line. * ``offline`` -- one-shot batch testing of a p-value\n"
+             "file with the step-up procedures. Options may come from flags or from a flat\n"
+             "``key = value`` config file (``--config``); explicit flags win. Unknown config\n"
+             "keys are rejected by name. Exit codes: 0 success, 1 usage error, 2 runtime\n"
+             "error.\n"
+             "\n"
+             "positional arguments:\n"
+             "  {sweep,stream,offline}\n"
+             "    sweep               run a Monte Carlo grid, emit CSV\n"
+             "    stream              decide p-values line by line\n"
+             "    offline             batch step-up testing of a p-value file\n"
+             "\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+         )),
+    case("help-sweep", ["sweep", "--help"], code=0,
+         out=(
+             "usage: onlinefdr sweep [-h] [--config CONFIG] [--out OUT] [--model MODEL]\n"
+             "                       [--pi1 PI1] [--procedure PROCEDURE] [--gamma GAMMA]\n"
+             "                       [--alpha ALPHA] [--w0 W0] [--lambda LAMBDA] [--T T]\n"
+             "                       [--trials TRIALS] [--seed SEED] [--jobs JOBS]\n"
+             "                       [--precision PRECISION] [--dump-config]\n"
+             "\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --config CONFIG       flat key = value config file\n"
+             "  --out OUT             output path (default: stdout)\n"
+             "  --model MODEL\n"
+             "  --pi1 PI1\n"
+             "  --procedure PROCEDURE\n"
+             "  --gamma GAMMA\n"
+             "  --alpha ALPHA\n"
+             "  --w0 W0\n"
+             "  --lambda LAMBDA\n"
+             "  --T T\n"
+             "  --trials TRIALS\n"
+             "  --seed SEED\n"
+             "  --jobs JOBS\n"
+             "  --precision PRECISION\n"
+             "  --dump-config         print the canonical config instead of running\n"
+         )),
+    case("help-stream", ["stream", "--help"], code=0,
+         out=(
+             "usage: onlinefdr stream [-h] [--config CONFIG] [--out OUT]\n"
+             "                        [--procedure PROCEDURE] [--gamma GAMMA]\n"
+             "                        [--alpha ALPHA] [--w0 W0] [--lambda LAMBDA]\n"
+             "                        [--precision PRECISION] [--input INPUT]\n"
+             "                        [--dump-config]\n"
+             "\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --config CONFIG       flat key = value config file\n"
+             "  --out OUT             output path (default: stdout)\n"
+             "  --procedure PROCEDURE\n"
+             "  --gamma GAMMA\n"
+             "  --alpha ALPHA\n"
+             "  --w0 W0\n"
+             "  --lambda LAMBDA\n"
+             "  --precision PRECISION\n"
+             "  --input INPUT         p-value file, one per line (default: stdin)\n"
+             "  --dump-config         print the canonical config instead of running\n"
+         )),
+    case("help-offline", ["offline", "--help"], code=0,
+         out=(
+             "usage: onlinefdr offline [-h] [--config CONFIG] [--out OUT] [--method METHOD]\n"
+             "                         [--alpha ALPHA] [--lambda LAMBDA]\n"
+             "                         [--precision PRECISION] [--input INPUT]\n"
+             "\n"
+             "options:\n"
+             "  -h, --help            show this help message and exit\n"
+             "  --config CONFIG       flat key = value config file\n"
+             "  --out OUT             output path (default: stdout)\n"
+             "  --method METHOD\n"
+             "  --alpha ALPHA\n"
+             "  --lambda LAMBDA\n"
+             "  --precision PRECISION\n"
+             "  --input INPUT         p-value file, one per line (default: stdin)\n"
+         )),
+    case("no-command", [], code=1,
+         err=(
+             "usage: onlinefdr [-h] {sweep,stream,offline} ...\n"
+             "onlinefdr: error: the following arguments are required: command\n"
+         )),
+    case("unknown-command", ["frobnicate"], code=1,
+         err=(
+             "usage: onlinefdr [-h] {sweep,stream,offline} ...\n"
+             "onlinefdr: error: argument command: invalid choice: 'frobnicate' (choose from 'sweep', 'stream', 'offline')\n"
+         )),
+    case("unknown-flag", ["sweep", *A, "--whatever", "1"], code=1,
+         err=(
+             "usage: onlinefdr [-h] {sweep,stream,offline} ...\n"
+             "onlinefdr: error: unrecognized arguments: --whatever 1\n"
+         )),
+    case("sweep-dump-defaults", ["sweep", *A, "--dump-config"], code=0,
+         out=(
+             "model = gaussian:3.0\n"
+             "pi1 = 0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9\n"
+             "procedure = saffron\n"
+             "gamma = power:1.6\n"
+             "alpha = 0.05\n"
+             "w0 = 0.025\n"
+             "lambda = 0.5\n"
+             "T = 1000\n"
+             "trials = 200\n"
+             "seed = 0\n"
+             "jobs = 1\n"
+             "precision = 6\n"
+         )),
+    case("sweep-dump-file-and-flags",
+         ["sweep", "--config", "run.cfg", "--T", "50", "--gamma", "log-optimal,power:2", "--dump-config"],
+         files={"run.cfg": SWEEP_CFG}, code=0,
+         out=(
+             "model = beta:0.5:5.0\n"
+             "pi1 = 0.2,0.8\n"
+             "procedure = saffron,lord\n"
+             "gamma = log-optimal,power:2.0\n"
+             "alpha = 0.1\n"
+             "w0 = 0.05\n"
+             "lambda = 0.25\n"
+             "T = 50\n"
+             "trials = 7\n"
+             "seed = 3\n"
+             "jobs = 2\n"
+             "precision = 4\n"
+         )),
+    case("stream-dump-defaults", ["stream", *A, "--dump-config"], code=0,
+         out=(
+             "procedure = saffron\n"
+             "gamma = power:1.6\n"
+             "alpha = 0.05\n"
+             "w0 = 0.025\n"
+             "lambda = 0.5\n"
+             "precision = 6\n"
+         )),
+    case("stream-dump-file-and-flags",
+         ["stream", "--config", "gate.cfg", "--alpha", "0.1", "--dump-config"],
+         files={"gate.cfg": GATE_CFG}, code=0,
+         out=(
+             "procedure = lord\n"
+             "gamma = beta:0.5\n"
+             "alpha = 0.1\n"
+             "w0 = 0.01\n"
+             "lambda = 0.3\n"
+             "precision = 9\n"
+         )),
+    case("sweep-missing-alpha", ["sweep"], code=1, err="error: missing required option --alpha\n"),
+    case("stream-missing-alpha", ["stream"], code=1,
+         err="error: missing required option --alpha\n"),
+    case("offline-missing-alpha", ["offline"], code=1,
+         err="error: missing required option --alpha\n"),
+    case("alpha-not-a-number", ["sweep", "--alpha", "abc"], code=1,
+         err="error: bad value for alpha: could not convert string to float: 'abc'\n"),
+    case("alpha-above-one", ["stream", "--alpha", "1.5"], code=1,
+         err="error: bad value for alpha: alpha must lie in (0, 1), got 1.5\n"),
+    case("alpha-zero", ["offline", "--alpha", "0"], code=1,
+         err="error: bad value for alpha: alpha must lie in (0, 1), got 0.0\n"),
+    case("sweep-w0-above-alpha", ["sweep", *A, "--w0", "0.1"], code=1,
+         err="error: bad value for w0: must lie in (0, alpha], got 0.1\n"),
+    case("stream-w0-above-alpha", ["stream", *A, "--w0", "0.06"], code=1,
+         err="error: bad value for w0: must lie in (0, alpha], got 0.06\n"),
+    case("w0-not-a-number", ["stream", *A, "--w0", "x"], code=1,
+         err="error: bad value for w0: could not convert string to float: 'x'\n"),
+    case("w0-from-config-above-alpha", ["sweep", "--config", "w.cfg"],
+         files={"w.cfg": (
+             "alpha = 0.05\n"
+             "w0 = 0.2\n"
+         )},
+         code=1, err="error: bad value for w0: must lie in (0, alpha], got 0.2\n"),
+    case("sweep-lambda-one", ["sweep", *A, "--lambda", "1"], code=1,
+         err="error: bad value for lambda: lambda must lie in (0, 1), got 1.0\n"),
+    case("stream-lambda-text", ["stream", *A, "--lambda", "half"], code=1,
+         err="error: bad value for lambda: could not convert string to float: 'half'\n"),
+    case("offline-lambda-zero", ["offline", *A, "--lambda", "0"], code=1,
+         err="error: bad value for lambda: lambda must lie in (0, 1), got 0.0\n"),
+    case("T-zero", ["sweep", *A, "--T", "0"], code=1,
+         err="error: bad value for T: T must be >= 1, got 0\n"),
+    case("T-fraction", ["sweep", *A, "--T", "1.5"], code=1,
+         err="error: bad value for T: invalid literal for int() with base 10: '1.5'\n"),
+    case("trials-zero", ["sweep", *A, "--trials", "0"], code=1,
+         err="error: bad value for trials: trials must be >= 1, got 0\n"),
+    case("seed-negative", ["sweep", *A, "--seed", "-1"], code=1,
+         err="error: bad value for seed: seed must be non-negative, got -1\n"),
+    case("seed-text", ["sweep", *A, "--seed", "x"], code=1,
+         err="error: bad value for seed: invalid literal for int() with base 10: 'x'\n"),
+    case("jobs-zero", ["sweep", *A, "--jobs", "0"], code=1,
+         err="error: bad value for jobs: jobs must be >= 1, got 0\n"),
+    case("stream-precision-zero", ["stream", *A, "--precision", "0"], code=1,
+         err="error: bad value for precision: precision must be >= 1, got 0\n"),
+    case("offline-precision-text", ["offline", *A, "--precision", "six"], code=1,
+         err="error: bad value for precision: invalid literal for int() with base 10: 'six'\n"),
+    case("pi1-above-one", ["sweep", *A, "--pi1", "0.5,1.5"], code=1,
+         err="error: bad value for pi1: pi1 values must lie in [0, 1], got 1.5\n"),
+    case("pi1-empty-item", ["sweep", *A, "--pi1", "0.5,,0.7"], code=1,
+         err="error: bad value for pi1: could not convert string to float: ''\n"),
+    case("sweep-procedure-unknown", ["sweep", *A, "--procedure", "saffron,bonferroni"], code=1,
+         err="error: bad value for procedure: unknown procedure 'bonferroni' (known: saffron, saffron-ai, lord, alpha-investing)\n"),
+    case("stream-procedure-unknown", ["stream", *A, "--procedure", "lond"], code=1,
+         err="error: bad value for procedure: unknown procedure 'lond' (known: saffron, saffron-ai, lord, alpha-investing)\n"),
+    case("gamma-power-below-one", ["sweep", *A, "--gamma", "power:0.5"], code=1,
+         err="error: bad value for gamma: power-law exponent must be finite and > 1, got 0.5\n"),
+    case("gamma-unknown", ["stream", *A, "--gamma", "zeta:2"], code=1,
+         err="error: bad value for gamma: unknown gamma spec 'zeta:2'\n"),
+    case("gamma-log-optimal-argument", ["sweep", *A, "--gamma", "log-optimal:3"], code=1,
+         err="error: bad value for gamma: log-optimal takes no parameter, got 'log-optimal:3'\n"),
+    case("model-unknown", ["sweep", *A, "--model", "poisson:2"], code=1,
+         err="error: bad value for model: unknown data model 'poisson:2'\n"),
+    case("model-not-a-number", ["sweep", *A, "--model", "gaussian:x"], code=1,
+         err="error: bad value for model: could not convert string to float: 'x'\n"),
+    case("model-beta-not-positive", ["sweep", *A, "--model", "beta:0:5"], code=1,
+         err="error: bad value for model: beta shape parameters must be positive, got BetaAlternative(m=0.0, n=5.0)\n"),
+    case("method-unknown", ["offline", *A, "--method", "qvalue"], code=1,
+         err="error: unknown method 'qvalue' (known: bh, storey-bh)\n"),
+    case("method-from-config", ["offline", "--config", "m.cfg"],
+         files={"m.cfg": (
+             "alpha = 0.05\n"
+             "method = by\n"
+         )},
+         code=1, err="error: unknown method 'by' (known: bh, storey-bh)\n"),
+    case("sweep-config-unknown-key", ["sweep", "--config", "bad.cfg"],
+         files={"bad.cfg": (
+             "alpha = 0.05\n"
+             "wibble = 2\n"
+         )},
+         code=1, err="error: unknown config key 'wibble' (line 2)\n"),
+    case("stream-config-with-T", ["stream", "--config", "s.cfg"],
+         files={"s.cfg": (
+             "alpha = 0.05\n"
+             "T = 100\n"
+         )},
+         code=1, err="error: unknown config key 'T' (line 2)\n"),
+    case("offline-config-with-gamma", ["offline", "--config", "o.cfg"],
+         files={"o.cfg": (
+             "alpha = 0.05\n"
+             "gamma = power:2\n"
+         )},
+         code=1, err="error: unknown config key 'gamma' (line 2)\n"),
+    case("config-line-without-equals", ["sweep", "--config", "n.cfg"],
+         files={"n.cfg": (
+             "# note\n"
+             "\n"
+             "alpha 0.05\n"
+         )},
+         code=1, err="error: config line 3: expected 'key = value', got 'alpha 0.05'\n"),
+    case("config-unreadable", ["sweep", "--config", "missing.cfg"], code=1,
+         err="error: cannot read config file: [Errno 2] No such file or directory: 'missing.cfg'\n"),
+    case("stream-two-procedures", ["stream", *A, "--procedure", "saffron,lord"], code=1,
+         err="error: stream mode takes exactly one procedure\n"),
+    case("stream-two-gammas", ["stream", *A, "--gamma", "power:1.6,power:2"], code=1,
+         err="error: stream mode takes exactly one gamma sequence\n"),
+    case("first-error-missing-alpha", ["sweep", "--model", "bogus", "--T", "0"], code=1,
+         err="error: missing required option --alpha\n"),
+    case("first-error-model-before-T", ["sweep", *A, "--T", "0", "--model", "bogus"], code=1,
+         err="error: bad value for model: unknown data model 'bogus'\n"),
+    case("first-error-procedures-before-lambda",
+         ["stream", *A, "--lambda", "2", "--procedure", "saffron,lord"], code=1,
+         err="error: stream mode takes exactly one procedure\n"),
+    case("first-error-method-before-lambda", ["offline", *A, "--lambda", "2", "--method", "x"],
+         code=1, err="error: unknown method 'x' (known: bh, storey-bh)\n"),
+    case("first-error-config-key-before-flags", ["stream", "--config", "s.cfg", "--alpha", "7"],
+         files={"s.cfg": "T = 100\n"}, code=1, err="error: unknown config key 'T' (line 1)\n"),
+    case("stream-saffron", ["stream", *A, "--precision", "17"], stdin=STREAM_P, code=0,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.0054686270721809194,0.5,1,1\n"
+             "2,0.010937254144361839,0.5,0,0\n"
+             "3,0.003607948341404767,0.5,0,1\n"
+             "4,0.003607948341404767,0.5,1,1\n"
+             "5,0.014545202485766606,0.5,0,0\n"
+             "6,0.0054938293897064715,0.5,0,1\n"
+             "7,0.0054938293897064715,0.5,0,0\n"
+             "8,0.0030760601428375879,0.5,1,1\n"
+             "9,0.014013314287199426,0.5,1,1\n"
+         )),
+    case("stream-lord",
+         ["stream", *A, "--procedure", "lord", "--w0", "0.01", "--gamma", "log-optimal"],
+         stdin=STREAM_P, code=0,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.000548154,0.000548154,0,0\n"
+             "2,0.000119206,0.000119206,0,0\n"
+             "3,0.00010153,0.00010153,0,0\n"
+             "4,8.44365e-05,8.44365e-05,0,0\n"
+             "5,7.15847e-05,7.15847e-05,0,0\n"
+             "6,6.19261e-05,6.19261e-05,0,0\n"
+             "7,5.44853e-05,5.44853e-05,0,0\n"
+             "8,4.86038e-05,4.86038e-05,1,1\n"
+             "9,0.00223647,0.00223647,0,0\n"
+         )),
+    case("stream-saffron-ai",
+         ["stream", "--alpha", "0.1", "--procedure", "saffron-ai", "--lambda", "0.3"],
+         stdin=STREAM_P, code=0,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.0214063,0.0214063,1,1\n"
+             "2,0.0419153,0.0419153,0,0\n"
+             "3,0.0142265,0.0142265,0,0\n"
+             "4,0.00748705,0.00748705,1,1\n"
+             "5,0.04879,0.04879,0,0\n"
+             "6,0.0188311,0.0188311,0,0\n"
+             "7,0.0107579,0.0107579,0,0\n"
+             "8,0.00719698,0.00719698,1,1\n"
+             "9,0.0485236,0.0485236,1,1\n"
+         )),
+    case("stream-alpha-investing",
+         ["stream", *A, "--procedure", "alpha-investing", "--gamma", "power:2"], stdin=STREAM_P,
+         code=0,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.0294997,0.0294997,1,1\n"
+             "2,0.0149707,0.0149707,0,0\n"
+             "3,0.00569552,0.00569552,0,0\n"
+             "4,0.00299544,0.00299544,1,1\n"
+             "5,0.00312887,0.00312887,0,0\n"
+             "6,0.00212213,0.00212213,0,0\n"
+             "7,0.00153369,0.00153369,0,0\n"
+             "8,0.0011601,0.0011601,1,1\n"
+             "9,0.00129128,0.00129128,0,0\n"
+         )),
+    case("stream-config-and-input-file", ["stream", "--config", "gate.cfg", "--input", "p.txt"],
+         files={"gate.cfg": GATE_CFG, "p.txt": STREAM_P}, code=0,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.00195644818,0.00195644818,1,1\n"
+             "2,0.0376616275,0.0376616275,0,0\n"
+             "3,0.00978224092,0.00978224092,0,0\n"
+             "4,0.00978224092,0.00978224092,1,1\n"
+             "5,0.0488440084,0.0488440084,0,0\n"
+             "6,0.0181617829,0.0181617829,0,0\n"
+             "7,0.0169965834,0.0169965834,0,0\n"
+             "8,0.0160362558,0.0160362558,1,1\n"
+             "9,0.0530373728,0.0530373728,1,1\n"
+         )),
+    case("stream-skips-bad-lines", ["stream", *A],
+         stdin=(
+             "0.4\n"
+             "bananas\n"
+             "\n"
+             "1.2\n"
+             " 0.6 \n"
+             "nan\n"
+             "-0\n"
+         ),
+         code=2,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.00546863,0.5,0,1\n"
+             "2,0.00546863,0.5,0,0\n"
+             "3,0.00180397,0.5,1,1\n"
+         ),
+         err=(
+             "error: line 2: not a p-value in [0, 1]: 'bananas'\n"
+             "error: line 4: not a p-value in [0, 1]: '1.2'\n"
+             "error: line 6: not a p-value in [0, 1]: 'nan'\n"
+         )),
+    case("stream-missing-input", ["stream", *A, "--input", "nope.txt"], code=2,
+         err="error: [Errno 2] No such file or directory: 'nope.txt'\n"),
+    case("stream-gamma-underflow", ["stream", *A, "--gamma", "power:60"], stdin="0.001\n", code=2,
+         err="error: raw weights for 'power:60.0' underflow to zero by the truncation point 10000000; the sequence would not be positive\n"),
+    case("offline-bh", ["offline", *A, "--input", "p.txt"],
+         files={"p.txt": (
+             "0.01\n"
+             "0.02\n"
+             "\n"
+             "0.6\n"
+             "0.8\n"
+             "0.001\n"
+         )},
+         code=0,
+         out=(
+             "index,p,rejected\n"
+             "1,0.01,1\n"
+             "2,0.02,1\n"
+             "3,0.6,0\n"
+             "4,0.8,0\n"
+             "5,0.001,1\n"
+         ),
+         err="threshold: 0.02\n"),
+    case("offline-storey-bh",
+         ["offline", "--alpha", "0.2", "--method", "storey-bh", "--lambda", "0.4", "--precision", "3"],
+         stdin=(
+             "0.01\n"
+             "0.02\n"
+             "0.6\n"
+             "0.8\n"
+             "0.001\n"
+             "0.3333333\n"
+         ),
+         code=0,
+         out=(
+             "index,p,rejected\n"
+             "1,0.01,1\n"
+             "2,0.02,1\n"
+             "3,0.6,0\n"
+             "4,0.8,0\n"
+             "5,0.001,1\n"
+             "6,0.333,0\n"
+         ),
+         err="threshold: 0.02\n"),
+    case("offline-bad-line", ["offline", *A],
+         stdin=(
+             "0.01\n"
+             "oops\n"
+         ),
+         code=2, err="error: line 2: not a p-value in [0, 1]: 'oops'\n"),
+    case("offline-empty-input", ["offline", *A], code=2, err="error: no p-values in input\n"),
+    case("offline-blank-input", ["offline", *A],
+         stdin=(
+             "\n"
+             "  \n"
+         ),
+         code=2, err="error: no p-values in input\n"),
+    case("offline-out-missing-dir", ["offline", *A, "--out", "nodir/x.csv"], stdin="0.01\n",
+         code=2, err="error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"),
+    case("sweep-tiny",
+         ["sweep", *A, "--pi1", "0.2,0.8", "--procedure", "saffron,alpha-investing", "--gamma", "power:1.6,power:2", "--T", "40", "--trials", "3", "--seed", "5"],
+         code=0,
+         out=(
+             "procedure,gamma,pi1,fdr,fdr_se,power,power_se,trials,seed\n"
+             "saffron,power:1.6,0.2,0,0,0.392857,0.0743452,3,5\n"
+             "saffron,power:1.6,0.8,0,0,0.738269,0.0588142,3,5\n"
+             "saffron,power:2.0,0.2,0,0,0.35119,0.11496,3,5\n"
+             "saffron,power:2.0,0.8,0,0,0.749763,0.0473259,3,5\n"
+             "alpha-investing,power:1.6,0.2,0,0,0.309524,0.156129,3,5\n"
+             "alpha-investing,power:1.6,0.8,0,0,0.414559,0.0555476,3,5\n"
+             "alpha-investing,power:2.0,0.2,0,0,0.309524,0.156129,3,5\n"
+             "alpha-investing,power:2.0,0.8,0,0,0.328826,0.0492376,3,5\n"
+         )),
+    case("sweep-beta-config", ["sweep", "--config", "b.cfg", "--precision", "17"],
+         files={"b.cfg": (
+             "alpha = 0.1\n"
+             "model = beta:0.5:5\n"
+             "pi1 = 0.5\n"
+             "procedure = lord,saffron-ai\n"
+             "T = 30\n"
+             "trials = 2\n"
+             "seed = 8\n"
+         )},
+         code=0,
+         out=(
+             "procedure,gamma,pi1,fdr,fdr_se,power,power_se,trials,seed\n"
+             "lord,power:1.6,0.5,0,0,0.14761904761904762,0.052380952380952382,2,8\n"
+             "saffron-ai,power:1.6,0.5,0,0,0.14761904761904762,0.052380952380952382,2,8\n"
+         )),
+    case("sweep-out-missing-dir",
+         ["sweep", *A, "--T", "5", "--trials", "1", "--pi1", "0.5", "--out", "nodir/x.csv"],
+         code=2, err="error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"),
+
+]
+
+
+@pytest.mark.parametrize("argv, stdin, files, code, out, err", TRANSCRIPT)
+def test_transcript(argv, stdin, files, code, out, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(capsys, argv, stdin, monkeypatch) == (code, out, err)
