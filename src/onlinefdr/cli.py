@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Sequence
 
 from . import gamma as gamma_mod
 from . import offline as offline_mod
@@ -50,56 +50,76 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_SWEEP_KEYS = (
-    "model", "pi1", "procedure", "gamma", "alpha", "w0", "lambda",
-    "T", "trials", "seed", "jobs", "precision",
-)
-_STREAM_KEYS = ("procedure", "gamma", "alpha", "w0", "lambda", "precision")
-_OFFLINE_KEYS = ("method", "alpha", "lambda", "precision")
-
-_DEST = {"lambda": "lam", "pi1": "pi1"}
-
-DEFAULT_MODEL = "gaussian:3.0"
-DEFAULT_PI1_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
+Parse = Callable[[str], Any]
 
 
-def _dest(key: str) -> str:
-    return _DEST.get(key, key)
+def _checked(name: str, convert: Parse, ok: Callable[[Any], bool], must: str) -> Parse:
+    def parse(raw: str) -> Any:
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"{name} must {must}, got {value}")
+        return value
+
+    return parse
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="onlinefdr", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _positive_int(name: str) -> Parse:
+    return _checked(name, int, lambda v: v >= 1, "be >= 1")
 
-    def add_common(p: _Parser, keys: Sequence[str]) -> None:
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        for key in keys:
-            p.add_argument(f"--{key}", dest=_dest(key), metavar=key.upper())
 
-    p_sweep = sub.add_parser("sweep", help="run a Monte Carlo grid, emit CSV")
-    add_common(p_sweep, _SWEEP_KEYS)
-    p_sweep.add_argument(
-        "--dump-config", action="store_true",
-        help="print the canonical config instead of running",
-    )
-    p_sweep.set_defaults(handler=_handle_sweep)
+def _unit_open(name: str) -> Parse:
+    return _checked(name, float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
-    p_stream = sub.add_parser("stream", help="decide p-values line by line")
-    add_common(p_stream, _STREAM_KEYS)
-    p_stream.add_argument("--input", help="p-value file, one per line (default: stdin)")
-    p_stream.add_argument(
-        "--dump-config", action="store_true",
-        help="print the canonical config instead of running",
-    )
-    p_stream.set_defaults(handler=_handle_stream)
 
-    p_off = sub.add_parser("offline", help="batch step-up testing of a p-value file")
-    add_common(p_off, _OFFLINE_KEYS)
-    p_off.add_argument("--input", help="p-value file, one per line (default: stdin)")
-    p_off.set_defaults(handler=_handle_offline)
+def _list(item: Parse) -> Parse:
+    return lambda raw: tuple(item(v) for v in raw.split(","))
 
-    return parser
+
+def _procedure(raw: str) -> str:
+    name = raw.strip()
+    if name not in PROCEDURE_NAMES:
+        raise ValueError(f"unknown procedure {name!r} (known: {', '.join(PROCEDURE_NAMES)})")
+    return name
+
+
+def _method(raw: str) -> str:
+    if raw not in ("bh", "storey-bh"):
+        raise UsageError(f"unknown method {raw!r} (known: bh, storey-bh)")
+    return raw
+
+
+# key -> (parser of the raw text, default).  Keys resolve in this order; a
+# callable default is computed from the values resolved before it, and a
+# None default makes the option required.
+_OPTIONS: dict[str, tuple[Parse, Any]] = {
+    "alpha": (_unit_open("alpha"), None),
+    "w0": (float, lambda v: v["alpha"] / 2.0),
+    "method": (_method, "bh"),
+    "model": (lambda raw: model_spec(parse_model(raw)), "gaussian:3.0"),
+    "pi1": (
+        _list(_checked("pi1 values", float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")),
+        tuple(round(0.1 * k, 1) for k in range(1, 10)),
+    ),
+    "procedure": (_list(_procedure), ("saffron",)),
+    "gamma": (_list(lambda v: gamma_mod.canonical_spec(v.strip())), ("power:1.6",)),
+    "lambda": (_unit_open("lambda"), 0.5),
+    "T": (_positive_int("T"), 1000),
+    "trials": (_positive_int("trials"), 200),
+    "seed": (_checked("seed", int, lambda v: v >= 0, "be non-negative"), 0),
+    "jobs": (_positive_int("jobs"), 1),
+    "precision": (_positive_int("precision"), 6),
+}
+
+# Each subcommand's keys, in flag and ``--dump-config`` order.
+_KEYS = {
+    "sweep": ("model", "pi1", "procedure", "gamma", "alpha", "w0", "lambda",
+              "T", "trials", "seed", "jobs", "precision"),
+    "stream": ("procedure", "gamma", "alpha", "w0", "lambda", "precision"),
+    "offline": ("method", "alpha", "lambda", "precision"),
+}
+
+# Lists that stream mode takes exactly one of.
+_SINGLE = {"procedure": "procedure", "gamma": "gamma sequence"}
 
 
 def parse_config_text(text: str, allowed: Sequence[str]) -> dict[str, str]:
@@ -120,264 +140,104 @@ def parse_config_text(text: str, allowed: Sequence[str]) -> dict[str, str]:
     return values
 
 
-T = TypeVar("T")
-
-
-def _resolve(
-    args: argparse.Namespace,
-    file_cfg: dict[str, str],
-    key: str,
-    parse: Callable[[str], T],
-    default: T | None = None,
-    required: bool = False,
-) -> T:
-    raw = getattr(args, _dest(key), None)
-    if raw is None:
-        raw = file_cfg.get(key)
-    if raw is None:
-        if required:
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The subcommand's options from flags, then the config file, then defaults."""
+    keys = _KEYS[args.command]
+    file_cfg: dict[str, str] = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read config file: {exc}") from None
+        file_cfg = parse_config_text(text, keys)
+    values: dict[str, Any] = {}
+    for key, (parse, default) in _OPTIONS.items():
+        if key not in keys:
+            continue
+        raw = getattr(args, key)
+        if raw is None:
+            raw = file_cfg.get(key)
+        if raw is not None:
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for {key}: {exc}") from None
+        elif default is None:
             raise UsageError(f"missing required option --{key}")
-        return default
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {exc}") from None
-
-
-def _positive_int(name: str) -> Callable[[str], int]:
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-        return value
-
-    return parse
-
-
-def _seed(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"seed must be non-negative, got {value}")
-    return value
-
-
-def _unit_open(name: str) -> Callable[[str], float]:
-    def parse(raw: str) -> float:
-        value = float(raw)
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        return value
-
-    return parse
-
-
-def _pi1_list(raw: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in raw.split(","))
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"pi1 values must lie in [0, 1], got {v}")
-    if not values:
-        raise ValueError("need at least one pi1 value")
+        else:
+            value = default(values) if callable(default) else default
+        if key == "w0" and not 0.0 < value <= values["alpha"]:
+            raise UsageError(f"bad value for w0: must lie in (0, alpha], got {value}")
+        if args.command == "stream" and key in _SINGLE and len(value) != 1:
+            raise UsageError(f"stream mode takes exactly one {_SINGLE[key]}")
+        values[key] = value
     return values
 
 
-def _procedure_list(raw: str) -> tuple[str, ...]:
-    names = tuple(v.strip() for v in raw.split(","))
-    for name in names:
-        if name not in PROCEDURE_NAMES:
-            raise ValueError(f"unknown procedure {name!r} (known: {', '.join(PROCEDURE_NAMES)})")
-    return names
+def _canonical(command: str, values: dict[str, Any]) -> str:
+    def text(v: Any) -> str:
+        if isinstance(v, tuple):
+            return ",".join(text(x) for x in v)
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "".join(f"{key} = {text(values[key])}\n" for key in _KEYS[command])
 
 
-def _gamma_list(raw: str) -> tuple[str, ...]:
-    return tuple(gamma_mod.canonical_spec(v.strip()) for v in raw.split(","))
+@contextmanager
+def _opened(path: str | None, mode: str, default):
+    """The named file, closed on exit, or ``default`` (left open) when no path is given."""
+    if not path:
+        yield default
+        return
+    with open(path, mode) as fh:
+        yield fh
 
 
-def _load_file_cfg(args: argparse.Namespace, allowed: Sequence[str]) -> dict[str, str]:
-    if not getattr(args, "config", None):
-        return {}
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    return parse_config_text(text, allowed)
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    model: str
-    pi1: tuple[float, ...]
-    procedures: tuple[str, ...]
-    gammas: tuple[str, ...]
-    alpha: float
-    w0: float
-    lam: float
-    T: int
-    trials: int
-    seed: int
-    jobs: int
-    precision: int
-
-    def canonical(self) -> str:
-        lines = [
-            f"model = {self.model}",
-            f"pi1 = {','.join(repr(v) for v in self.pi1)}",
-            f"procedure = {','.join(self.procedures)}",
-            f"gamma = {','.join(self.gammas)}",
-            f"alpha = {self.alpha!r}",
-            f"w0 = {self.w0!r}",
-            f"lambda = {self.lam!r}",
-            f"T = {self.T}",
-            f"trials = {self.trials}",
-            f"seed = {self.seed}",
-            f"jobs = {self.jobs}",
-            f"precision = {self.precision}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    def configs(self) -> list[SimConfig]:
-        base = SimConfig(
-            model=DataModel(parse_model(self.model), self.pi1[0], self.T),
-            procedure=ProcedureSpec(
-                self.procedures[0], self.alpha, self.w0, self.lam, self.gammas[0]
-            ),
-            trials=self.trials,
-            seed=self.seed,
-        )
-        procs = [
-            ProcedureSpec(name, self.alpha, self.w0, self.lam, g)
-            for name in self.procedures
-            for g in self.gammas
-        ]
-        return grid(base, self.pi1, procs)
-
-
-def _resolve_sweep(args: argparse.Namespace) -> SweepSettings:
-    cfg = _load_file_cfg(args, _SWEEP_KEYS)
-    alpha = _resolve(args, cfg, "alpha", _unit_open("alpha"), required=True)
-    w0 = _resolve(args, cfg, "w0", float, default=alpha / 2.0)
-    if not 0.0 < w0 <= alpha:
-        raise UsageError(f"bad value for w0: must lie in (0, alpha], got {w0}")
-    model = _resolve(args, cfg, "model", parse_model, default=parse_model(DEFAULT_MODEL))
-    return SweepSettings(
-        model=model_spec(model),
-        pi1=_resolve(args, cfg, "pi1", _pi1_list, default=DEFAULT_PI1_GRID),
-        procedures=_resolve(args, cfg, "procedure", _procedure_list, default=("saffron",)),
-        gammas=_resolve(args, cfg, "gamma", _gamma_list, default=("power:1.6",)),
-        alpha=alpha,
-        w0=w0,
-        lam=_resolve(args, cfg, "lambda", _unit_open("lambda"), default=0.5),
-        T=_resolve(args, cfg, "T", _positive_int("T"), default=1000),
-        trials=_resolve(args, cfg, "trials", _positive_int("trials"), default=200),
-        seed=_resolve(args, cfg, "seed", _seed, default=0),
-        jobs=_resolve(args, cfg, "jobs", _positive_int("jobs"), default=1),
-        precision=_resolve(args, cfg, "precision", _positive_int("precision"), default=6),
-    )
-
-
-def _open_out(args: argparse.Namespace):
-    if getattr(args, "out", None):
-        return open(args.out, "w"), True
-    return sys.stdout, False
-
-
-def _handle_sweep(args: argparse.Namespace) -> int:
-    settings = _resolve_sweep(args)
-    out, close = _open_out(args)
-    try:
-        if args.dump_config:
-            out.write(settings.canonical())
-            return 0
-        rows = sweep(settings.configs(), jobs=settings.jobs)
-        write_csv(rows, out, precision=settings.precision)
-        return 0
-    finally:
-        if close:
-            out.close()
-
-
-@dataclass(frozen=True)
-class StreamSettings:
-    procedure: str
-    gamma: str
-    alpha: float
-    w0: float
-    lam: float
-    precision: int
-
-    def canonical(self) -> str:
-        lines = [
-            f"procedure = {self.procedure}",
-            f"gamma = {self.gamma}",
-            f"alpha = {self.alpha!r}",
-            f"w0 = {self.w0!r}",
-            f"lambda = {self.lam!r}",
-            f"precision = {self.precision}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    def spec(self) -> ProcedureSpec:
-        return ProcedureSpec(self.procedure, self.alpha, self.w0, self.lam, self.gamma)
-
-
-def _resolve_stream(args: argparse.Namespace) -> StreamSettings:
-    cfg = _load_file_cfg(args, _STREAM_KEYS)
-    alpha = _resolve(args, cfg, "alpha", _unit_open("alpha"), required=True)
-    w0 = _resolve(args, cfg, "w0", float, default=alpha / 2.0)
-    if not 0.0 < w0 <= alpha:
-        raise UsageError(f"bad value for w0: must lie in (0, alpha], got {w0}")
-    procedures = _resolve(args, cfg, "procedure", _procedure_list, default=("saffron",))
-    if len(procedures) != 1:
-        raise UsageError("stream mode takes exactly one procedure")
-    gammas = _resolve(args, cfg, "gamma", _gamma_list, default=("power:1.6",))
-    if len(gammas) != 1:
-        raise UsageError("stream mode takes exactly one gamma sequence")
-    return StreamSettings(
-        procedure=procedures[0],
-        gamma=gammas[0],
-        alpha=alpha,
-        w0=w0,
-        lam=_resolve(args, cfg, "lambda", _unit_open("lambda"), default=0.5),
-        precision=_resolve(args, cfg, "precision", _positive_int("precision"), default=6),
-    )
-
-
-def _open_input(args: argparse.Namespace):
-    if getattr(args, "input", None):
-        return open(args.input), True
-    return sys.stdin, False
-
-
-def _handle_stream(args: argparse.Namespace) -> int:
-    settings = _resolve_stream(args)
-    out, close_out = _open_out(args)
-    try:
-        if args.dump_config:
-            out.write(settings.canonical())
-            return 0
-        proc = settings.spec().build()
-        fin, close_in = _open_input(args)
-        fmt = f".{settings.precision}g"
-        errors = 0
+def _read_pvalues(fin) -> Iterator[float | ValueError]:
+    """Each non-blank line's p-value, or the error naming a bad line, one line at a time."""
+    for lineno, line in enumerate(iter(fin.readline, ""), start=1):
+        text = line.strip()
+        if not text:
+            continue
         try:
+            yield validate_pvalue(float(text))
+        except ValueError:
+            yield ValueError(f"line {lineno}: not a p-value in [0, 1]: {text!r}")
+
+
+def _handle_sweep(args: argparse.Namespace, s: dict[str, Any]) -> int:
+    with _opened(args.out, "w", sys.stdout) as out:
+        procs = [
+            ProcedureSpec(name, s["alpha"], s["w0"], s["lambda"], g)
+            for name in s["procedure"]
+            for g in s["gamma"]
+        ]
+        base = SimConfig(
+            model=DataModel(parse_model(s["model"]), s["pi1"][0], s["T"]),
+            procedure=procs[0],
+            trials=s["trials"],
+            seed=s["seed"],
+        )
+        rows = sweep(grid(base, s["pi1"], procs), jobs=s["jobs"])
+        write_csv(rows, out, precision=s["precision"])
+        return 0
+
+
+def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
+    with _opened(args.out, "w", sys.stdout) as out:
+        proc = ProcedureSpec(
+            s["procedure"][0], s["alpha"], s["w0"], s["lambda"], s["gamma"][0]
+        ).build()
+        fmt = f".{s['precision']}g"
+        errors = 0
+        with _opened(args.input, "r", sys.stdin) as fin:
             out.write(STREAM_HEADER + "\n")
             out.flush()
-            lineno = 0
-            # readline-based loop: each decision is printed (and flushed)
-            # before the next input line is read
-            for line in iter(fin.readline, ""):
-                lineno += 1
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    p = validate_pvalue(float(text))
-                except ValueError:
-                    print(
-                        f"error: line {lineno}: not a p-value in [0, 1]: {text!r}",
-                        file=sys.stderr,
-                    )
+            # each decision is printed (and flushed) before the next input line is read
+            for p in _read_pvalues(fin):
+                if isinstance(p, ValueError):
+                    print(f"error: {p}", file=sys.stderr)
                     errors += 1
                     continue
                 record = proc.step(p)
@@ -386,57 +246,58 @@ def _handle_stream(args: argparse.Namespace) -> int:
                     f"{record.rejected:d},{record.candidate:d}\n"
                 )
                 out.flush()
-        finally:
-            if close_in:
-                fin.close()
         return 2 if errors else 0
-    finally:
-        if close_out:
-            out.close()
 
 
-def _handle_offline(args: argparse.Namespace) -> int:
-    cfg = _load_file_cfg(args, _OFFLINE_KEYS)
-    alpha = _resolve(args, cfg, "alpha", _unit_open("alpha"), required=True)
-    method = _resolve(args, cfg, "method", str, default="bh")
-    if method not in ("bh", "storey-bh"):
-        raise UsageError(f"unknown method {method!r} (known: bh, storey-bh)")
-    lam = _resolve(args, cfg, "lambda", _unit_open("lambda"), default=0.5)
-    precision = _resolve(args, cfg, "precision", _positive_int("precision"), default=6)
-
-    fin, close_in = _open_input(args)
-    try:
+def _handle_offline(args: argparse.Namespace, s: dict[str, Any]) -> int:
+    with _opened(args.input, "r", sys.stdin) as fin:
         pvalues = []
-        for lineno, line in enumerate(fin, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                pvalues.append(validate_pvalue(float(text)))
-            except ValueError:
-                raise ValueError(f"line {lineno}: not a p-value in [0, 1]: {text!r}") from None
-    finally:
-        if close_in:
-            fin.close()
+        for p in _read_pvalues(fin):
+            if isinstance(p, ValueError):
+                raise p
+            pvalues.append(p)
     if not pvalues:
         raise ValueError("no p-values in input")
 
-    if method == "bh":
-        result = offline_mod.bh(pvalues, alpha)
+    if s["method"] == "bh":
+        result = offline_mod.bh(pvalues, s["alpha"])
     else:
-        result = offline_mod.storey_bh(pvalues, alpha, lam)
+        result = offline_mod.storey_bh(pvalues, s["alpha"], s["lambda"])
 
-    out, close_out = _open_out(args)
-    fmt = f".{precision}g"
-    try:
+    fmt = f".{s['precision']}g"
+    with _opened(args.out, "w", sys.stdout) as out:
         print(f"threshold: {result.threshold:{fmt}}", file=sys.stderr)
         out.write(OFFLINE_HEADER + "\n")
         for i, p in enumerate(pvalues):
             out.write(f"{i + 1},{p:{fmt}},{int(i in result.rejected)}\n")
         return 0
-    finally:
-        if close_out:
-            out.close()
+
+
+_COMMANDS = {
+    "sweep": ("run a Monte Carlo grid, emit CSV", _handle_sweep),
+    "stream": ("decide p-values line by line", _handle_stream),
+    "offline": ("batch step-up testing of a p-value file", _handle_offline),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="onlinefdr", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, handler) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        for key in _KEYS[command]:
+            p.add_argument(f"--{key}", metavar=key.upper())
+        if command != "sweep":
+            p.add_argument("--input", help="p-value file, one per line (default: stdin)")
+        if command != "offline":
+            p.add_argument(
+                "--dump-config", action="store_true",
+                help="print the canonical config instead of running",
+            )
+        p.set_defaults(handler=handler, dump_config=False)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -446,7 +307,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        s = _settings(args)
+        if args.dump_config:
+            with _opened(args.out, "w", sys.stdout) as out:
+                out.write(_canonical(args.command, s))
+            return 0
+        return args.handler(args, s)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
