@@ -7,7 +7,6 @@ for power/FDR experiments.
 """
 
 from .estimators import (
-    EstimatorTrace,
     TrialSummary,
     aggregate,
     fdp_hat_lord,
@@ -32,8 +31,8 @@ from .records import (
     DecisionRecord,
     StreamTrace,
     TrialResult,
-    fdp_of,
-    power_of,
+    fdp_from_flags,
+    power_from_flags,
     validate_pvalue,
 )
 from .simulation import (

@@ -1,6 +1,8 @@
 """Running FDP estimators and across-trial error metrics.
 
-The three per-run traces share the denominator max(|R(t)|, 1):
+The three estimators read a :class:`StreamTrace` and return one float64 array
+with the value after each step t = 1..T.  They share the denominator
+max(|R(t)|, 1):
 
 * oracle: sums the levels spent on truly null steps (needs labels);
 * naive:  sums every level, an upper bound on the oracle;
@@ -15,88 +17,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .records import DecisionRecord, StreamTrace, TrialResult
+from .records import StreamTrace, TrialResult
 
 
-@dataclass
-class EstimatorTrace:
-    """Per-step values of one estimator over a run; step t = position + 1."""
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.values[i])
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        for i, v in enumerate(self.values):
-            yield i + 1, float(v)
-
-    def max(self) -> float:
-        return float(self.values.max()) if len(self.values) else 0.0
-
-    def to_csv(self, out: IO[str]) -> None:
-        out.write("t,value\n")
-        for t, v in self.items():
-            out.write(f"{t},{v!r}\n")
+def _over_rejections(numerators: np.ndarray, rejected: np.ndarray) -> np.ndarray:
+    return np.cumsum(numerators) / np.maximum(np.cumsum(rejected), 1)
 
 
-def _arrays(records: Iterable[DecisionRecord] | StreamTrace):
-    if isinstance(records, StreamTrace):
-        return (
-            np.asarray(records.pvalues, dtype=np.float64),
-            np.asarray(records.alpha, dtype=np.float64),
-            np.asarray(records.lam, dtype=np.float64),
-            np.asarray(records.rejected, dtype=bool),
-        )
-    recs = list(records)
-    return (
-        np.array([r.p for r in recs], dtype=np.float64),
-        np.array([r.alpha for r in recs], dtype=np.float64),
-        np.array([r.lam for r in recs], dtype=np.float64),
-        np.array([r.rejected for r in recs], dtype=bool),
-    )
-
-
-def _over_rejections(numerators: np.ndarray, rejected: np.ndarray) -> EstimatorTrace:
-    den = np.maximum(np.cumsum(rejected), 1)
-    return EstimatorTrace(np.cumsum(numerators) / den)
-
-
-def fdp_oracle(
-    records: Sequence[DecisionRecord] | StreamTrace, is_null: Sequence[bool]
-) -> EstimatorTrace:
+def fdp_oracle(trace: StreamTrace, is_null: Sequence[bool]) -> np.ndarray:
     """Levels spent on truly null steps over rejections (simulation only)."""
-    _, alpha, _, rejected = _arrays(records)
     null = np.asarray(is_null, dtype=bool)
-    if null.shape != alpha.shape:
+    if null.shape != trace.alpha.shape:
         raise ValueError(
-            f"length mismatch: {alpha.shape[0]} records vs {null.shape[0]} labels"
+            f"length mismatch: {trace.alpha.shape[0]} steps vs {null.shape[0]} labels"
         )
-    return _over_rejections(alpha * null, rejected)
+    return _over_rejections(trace.alpha * null, trace.rejected)
 
 
-def fdp_hat_lord(records: Sequence[DecisionRecord] | StreamTrace) -> EstimatorTrace:
+def fdp_hat_lord(trace: StreamTrace) -> np.ndarray:
     """All levels spent, over rejections; dominates the oracle pointwise."""
-    _, alpha, _, rejected = _arrays(records)
-    return _over_rejections(alpha, rejected)
+    return _over_rejections(trace.alpha, trace.rejected)
 
 
-def fdp_hat_saffron(records: Sequence[DecisionRecord] | StreamTrace) -> EstimatorTrace:
+def fdp_hat_saffron(trace: StreamTrace) -> np.ndarray:
     """Candidate-discounted spend over rejections.
 
     Non-candidate steps contribute alpha_j / (1 - lambda_j); candidates
     contribute nothing.
     """
-    p, alpha, lam, rejected = _arrays(records)
-    contrib = np.where(p > lam, alpha / (1.0 - lam), 0.0)
-    return _over_rejections(contrib, rejected)
+    contrib = np.where(trace.pvalues > trace.lam, trace.alpha / (1.0 - trace.lam), 0.0)
+    return _over_rejections(contrib, trace.rejected)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,6 @@ class GammaSequence:
             )
         self._spec = spec
         self._raw = raw
-        self._tail_integral = tail_integral
-        self._truncation = truncation
         self._lock = threading.Lock()
 
         partial, running_min = self._summed_head(truncation)
@@ -104,10 +102,6 @@ class GammaSequence:
         """The series total the raw weights are divided by."""
         return self._normalizer
 
-    @property
-    def truncation(self) -> int:
-        return self._truncation
-
     def sum_bracket(self) -> tuple[float, float]:
         """Bracket on the normalized series total.
 
@@ -133,6 +127,9 @@ class GammaSequence:
 
     def at(self, indices: np.ndarray) -> np.ndarray:
         """Vector of gamma values at the given 1-based indices."""
+        low = int(indices.min())
+        if low < 1:
+            raise IndexError(f"gamma index must be >= 1, got {low}")
         top = int(indices.max())
         if top > len(self._values):
             self._extend(top)

@@ -22,10 +22,6 @@ class OfflineResult:
     threshold: float
     rejected: frozenset[int]
 
-    @property
-    def num_rejected(self) -> int:
-        return len(self.rejected)
-
 
 def _validated(pvalues: Sequence[float]) -> np.ndarray:
     p = np.asarray(pvalues, dtype=np.float64)

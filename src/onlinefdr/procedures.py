@@ -311,54 +311,27 @@ class AlphaInvesting(OnlineProcedure):
     the level is alpha_t = pen / (1 + pen).  A non-rejection costs
     alpha_t / (1 - alpha_t) = pen; a rejection earns alpha.  Wealth therefore
     never goes negative.  Not monotone: a past rejection can lower a later
-    level through the wealth path.
-
-    ``spend_rule`` maps the procedure state to the staked fraction
-    psi_t in (0, 1); the default stakes gamma_t, the discount sequence
-    indexed by absolute time.
+    level through the wealth path.  The staked fraction psi_t is gamma_t, the
+    discount sequence indexed by absolute time.
     """
 
-    def __init__(
-        self,
-        alpha: float,
-        gamma: GammaSequence,
-        spend_rule: Callable[["AlphaInvesting"], float] | None = None,
-    ):
+    def __init__(self, alpha: float, gamma: GammaSequence):
         super().__init__()
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
         self.alpha = float(alpha)
         self.gamma = gamma
-        self.spend_rule = spend_rule
         self.wealth = self.alpha
-        self._last_rejection = 0
         self._pen = 0.0
-        self._nrej = 0
-
-    @property
-    def rejections(self) -> int:
-        return self._nrej
-
-    @property
-    def last_rejection_time(self) -> int:
-        return self._last_rejection
 
     def _compute_levels(self) -> tuple[float, float]:
-        if self.spend_rule is None:
-            psi = self.gamma[self._t]
-        else:
-            psi = float(self.spend_rule(self))
-            if not 0.0 < psi < 1.0:
-                raise ValueError(f"spend fraction must lie in (0, 1), got {psi}")
-        self._pen = psi * self.wealth
+        self._pen = self.gamma[self._t] * self.wealth
         a = self._pen / (1.0 + self._pen)
         return a, a
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         if rejected:
             self.wealth += self.alpha
-            self._last_rejection = self._t
-            self._nrej += 1
         else:
             self.wealth -= self._pen
 

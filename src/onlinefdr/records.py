@@ -2,14 +2,14 @@
 
 P-values are plain floats validated at the boundaries; hypothesis labels are
 plain booleans with the convention ``True`` = truly null (ground truth, known
-only in simulation).  A :class:`DecisionRecord` captures one step of an online
-procedure; a :class:`StreamTrace` is the array-backed form of a whole run.
+only in simulation).  A :class:`DecisionRecord` is what one ``observe`` call
+returns; a :class:`StreamTrace` holds a whole run as arrays, and is the one
+form that the metrics and estimators read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,19 +65,6 @@ class StreamTrace:
     def __len__(self) -> int:
         return len(self.pvalues)
 
-    def records(self) -> list[DecisionRecord]:
-        return [
-            DecisionRecord(
-                index=t + 1,
-                p=float(self.pvalues[t]),
-                alpha=float(self.alpha[t]),
-                lam=float(self.lam[t]),
-                rejected=bool(self.rejected[t]),
-                candidate=bool(self.candidate[t]),
-            )
-            for t in range(len(self.pvalues))
-        ]
-
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -90,13 +77,6 @@ class TrialResult:
     fdp: float
     power: float
     rejections: int
-    trace: tuple[DecisionRecord, ...] | None = None
-
-
-def _flags(records: Iterable[DecisionRecord] | StreamTrace) -> np.ndarray:
-    if isinstance(records, StreamTrace):
-        return np.asarray(records.rejected, dtype=bool)
-    return np.array([r.rejected for r in records], dtype=bool)
 
 
 def fdp_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
@@ -126,12 +106,3 @@ def power_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
         return 0.0
     return float((rejected & ~is_null).sum() / non_null)
 
-
-def fdp_of(records: Sequence[DecisionRecord] | StreamTrace, is_null: Sequence[bool]) -> float:
-    """False discovery proportion of a run against ground-truth labels."""
-    return fdp_from_flags(_flags(records), np.asarray(is_null, dtype=bool))
-
-
-def power_of(records: Sequence[DecisionRecord] | StreamTrace, is_null: Sequence[bool]) -> float:
-    """Empirical power of a run against ground-truth labels."""
-    return power_from_flags(_flags(records), np.asarray(is_null, dtype=bool))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from . import gamma as gamma_mod
-from .estimators import TrialSummary, aggregate
+from .estimators import aggregate
 from .procedures import OnlineProcedure, make_procedure
 from .records import TrialResult, fdp_from_flags, power_from_flags
 
@@ -40,6 +40,10 @@ class GaussianMean:
 
     mu_c: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.mu_c):
+            raise ValueError(f"gaussian mean must be finite, got {self.mu_c}")
+
 
 @dataclass(frozen=True)
 class BetaAlternative:
@@ -51,6 +55,8 @@ class BetaAlternative:
     def __post_init__(self):
         if self.m <= 0 or self.n <= 0:
             raise ValueError(f"beta shape parameters must be positive, got {self}")
+        if not (math.isfinite(self.m) and math.isfinite(self.n)):
+            raise ValueError(f"beta shape parameters must be finite, got {self}")
 
 
 ModelKind = GaussianMean | BetaAlternative
@@ -126,7 +132,6 @@ class SimConfig:
     procedure: ProcedureSpec
     trials: int
     seed: int
-    keep_trace: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -150,7 +155,6 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
         fdp=fdp_from_flags(trace.rejected, is_null),
         power=power_from_flags(trace.rejected, is_null),
         rejections=int(trace.rejected.sum()),
-        trace=tuple(trace.records()) if config.keep_trace else None,
     )
 
 
@@ -169,10 +173,6 @@ class SweepRow:
     power_se: float
     trials: int
     seed: int
-
-    @property
-    def summary(self) -> TrialSummary:
-        return TrialSummary(self.fdr, self.power, self.fdr_se, self.power_se, self.trials)
 
 
 def run_cell(config: SimConfig) -> SweepRow:
@@ -206,12 +206,16 @@ def grid(
 
 
 def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
-    """Run every cell; output order follows input order for any job count."""
+    """Run every cell; output order follows input order for any job count.
+
+    At most one worker per cell is started: the pool forks all its workers
+    at the first submit, however few cells there are.
+    """
     if not configs:
         raise ValueError("sweep needs at least one configuration")
     if jobs <= 1 or len(configs) == 1:
         return [run_cell(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         return list(pool.map(run_cell, configs))
 
 

@@ -302,8 +302,8 @@ def test_criterion_8_oracle_dominance_pointwise():
         pvalues, is_null = generate_stream(model, trial_rng(31, i))
         for factory in procedures:
             trace = factory().run(pvalues)
-            naive = fdp_hat_lord(trace).values
-            oracle = fdp_oracle(trace, is_null).values
+            naive = fdp_hat_lord(trace)
+            oracle = fdp_oracle(trace, is_null)
             if not (naive >= oracle - 1e-15).all():
                 failures.append(f"stream {i}: naive estimate dipped below oracle")
             if not (oracle >= 0).all():

@@ -488,6 +488,14 @@ TRANSCRIPT = [
          err="error: bad value for model: unknown data model 'poisson:2'\n"),
     case("model-not-a-number", ["sweep", *A, "--model", "gaussian:x"], code=1,
          err="error: bad value for model: could not convert string to float: 'x'\n"),
+    # non-finite parameters are usage errors, not runs with every alternative at p = 0
+    case("model-gaussian-nan", ["sweep", *A, "--model", "gaussian:nan"], code=1,
+         err="error: bad value for model: gaussian mean must be finite, got nan\n"),
+    case("model-gaussian-inf", ["sweep", *A, "--model", "gaussian:inf"], code=1,
+         err="error: bad value for model: gaussian mean must be finite, got inf\n"),
+    case("model-beta-inf", ["sweep", *A, "--model", "beta:0.5:inf"], code=1,
+         err="error: bad value for model: beta shape parameters must be finite, "
+             "got BetaAlternative(m=0.5, n=inf)\n"),
     case("model-beta-not-positive", ["sweep", *A, "--model", "beta:0:5"], code=1,
          err="error: bad value for model: beta shape parameters must be positive, got BetaAlternative(m=0.0, n=5.0)\n"),
     case("method-unknown", ["offline", *A, "--method", "qvalue"], code=1,

@@ -1,6 +1,5 @@
 """FDP estimator traces and across-trial aggregation."""
 
-import io
 import statistics
 
 import numpy as np
@@ -15,60 +14,52 @@ from onlinefdr.estimators import (
     fdp_oracle,
     mfdr,
 )
-from onlinefdr.records import DecisionRecord, TrialResult
+from onlinefdr.records import StreamTrace, TrialResult
 
 
 def records_from(pvalues, alphas, lam=0.5):
-    lams = [lam] * len(pvalues) if isinstance(lam, float) else lam
-    return [
-        DecisionRecord(
-            index=i + 1,
-            p=p,
-            alpha=a,
-            lam=l,
-            rejected=p <= a,
-            candidate=p <= l,
-        )
-        for i, (p, a, l) in enumerate(zip(pvalues, alphas, lams))
-    ]
+    """The trace of a run that tested ``pvalues`` at the given levels."""
+    p = np.asarray(pvalues, dtype=np.float64)
+    alpha = np.asarray(alphas, dtype=np.float64)
+    lams = np.broadcast_to(np.asarray(lam, dtype=np.float64), p.shape)
+    return StreamTrace(p, alpha, lams, p <= alpha, p <= lams)
 
 
-def scratch_traces(records, is_null):
+def scratch_traces(trace, is_null):
     """Quadratic from-scratch recomputation of all three estimators."""
+    steps = list(zip(trace.pvalues, trace.alpha, trace.lam, trace.rejected))
     oracle, naive, discounted = [], [], []
-    for t in range(1, len(records) + 1):
-        upto = records[:t]
-        den = max(sum(r.rejected for r in upto), 1)
-        oracle.append(sum(r.alpha for r, n in zip(upto, is_null) if n) / den)
-        naive.append(sum(r.alpha for r in upto) / den)
-        discounted.append(
-            sum(r.alpha / (1 - r.lam) for r in upto if r.p > r.lam) / den
-        )
+    for t in range(1, len(steps) + 1):
+        upto = steps[:t]
+        den = max(sum(r for _, _, _, r in upto), 1)
+        oracle.append(sum(a for (_, a, _, _), n in zip(upto, is_null) if n) / den)
+        naive.append(sum(a for _, a, _, _ in upto) / den)
+        discounted.append(sum(a / (1 - lam) for p, a, lam, _ in upto if p > lam) / den)
     return oracle, naive, discounted
 
 
 def test_oracle_zero_when_all_non_null():
     recs = records_from([0.001, 0.5, 0.01], [0.02, 0.01, 0.02])
     trace = fdp_oracle(recs, [False, False, False])
-    assert trace.values.tolist() == [0.0, 0.0, 0.0]
+    assert trace.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_oracle_direct_sum_two_nulls():
     # one rejection, both hypotheses null: (0.01 + 0.02) / 1
     recs = records_from([0.5, 0.01], [0.01, 0.02])
-    assert recs[1].rejected
+    assert recs.rejected[1]
     trace = fdp_oracle(recs, [True, True])
     assert trace[1] == pytest.approx(0.03)
 
 
 def test_lord_estimator_single_step():
     recs = records_from([0.9], [0.005])
-    assert fdp_hat_lord(recs).values.tolist() == [pytest.approx(0.005)]
+    assert fdp_hat_lord(recs).tolist() == [pytest.approx(0.005)]
 
 
 def test_saffron_estimator_all_candidates_is_zero():
     recs = records_from([0.1, 0.2, 0.3], [0.01, 0.01, 0.01], lam=0.5)
-    assert fdp_hat_saffron(recs).values.tolist() == [0.0, 0.0, 0.0]
+    assert fdp_hat_saffron(recs).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_saffron_estimator_hand_example():
@@ -89,11 +80,11 @@ def test_saffron_estimator_with_lam_equal_alpha_is_spent_wealth_sum():
     alphas = 0.02 + 0.01 * rng.random(50)
     recs = records_from(pvalues.tolist(), alphas.tolist(), lam=alphas.tolist())
     trace = fdp_hat_saffron(recs)
-    den = np.maximum(np.cumsum([r.rejected for r in recs]), 1)
+    den = np.maximum(np.cumsum(recs.rejected), 1)
     spend = np.cumsum(
-        [0.0 if r.rejected else r.alpha / (1 - r.alpha) for r in recs]
+        [0.0 if r else a / (1 - a) for r, a in zip(recs.rejected, recs.alpha)]
     )
-    assert np.allclose(trace.values, spend / den, rtol=0, atol=1e-15)
+    assert np.allclose(trace, spend / den, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=80, deadline=None)
@@ -114,12 +105,12 @@ def test_traces_match_scratch_recomputation(data):
     is_null = [d[2] for d in data]
     recs = records_from(pvalues, alphas, lam=0.5)
     expected_oracle, expected_naive, expected_disc = scratch_traces(recs, is_null)
-    assert np.allclose(fdp_oracle(recs, is_null).values, expected_oracle, atol=1e-12)
-    assert np.allclose(fdp_hat_lord(recs).values, expected_naive, atol=1e-12)
-    assert np.allclose(fdp_hat_saffron(recs).values, expected_disc, atol=1e-12)
+    assert np.allclose(fdp_oracle(recs, is_null), expected_oracle, atol=1e-12)
+    assert np.allclose(fdp_hat_lord(recs), expected_naive, atol=1e-12)
+    assert np.allclose(fdp_hat_saffron(recs), expected_disc, atol=1e-12)
     # dominance: the naive estimate never drops below the oracle
-    assert (fdp_hat_lord(recs).values >= fdp_oracle(recs, is_null).values - 1e-15).all()
-    assert (fdp_oracle(recs, is_null).values >= 0).all()
+    assert (fdp_hat_lord(recs) >= fdp_oracle(recs, is_null) - 1e-15).all()
+    assert (fdp_oracle(recs, is_null) >= 0).all()
 
 
 def test_oracle_length_mismatch():
@@ -180,12 +171,3 @@ def test_mfdr_plug_in_ratio():
     assert mfdr(trials) == pytest.approx(1.0 / 5.0)
     assert mfdr([TrialResult(fdp=0.0, power=0.0, rejections=0)]) == 0.0
 
-
-def test_trace_csv_export():
-    recs = records_from([0.9, 0.001], [0.005, 0.004])
-    buf = io.StringIO()
-    fdp_hat_lord(recs).to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,value"
-    assert lines[1].startswith("1,")
-    assert len(lines) == 3

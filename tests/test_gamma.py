@@ -151,6 +151,8 @@ def test_canonical_spec_round_trip():
 def test_index_below_one_rejected(power2):
     with pytest.raises(IndexError):
         power2[0]
+    with pytest.raises(IndexError):
+        power2.at(np.array([3, 0]))
 
 
 def test_vector_lookup_matches_scalar(power16):

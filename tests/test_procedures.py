@@ -26,7 +26,6 @@ W0 = 0.025
 SAFFRON_ALPHA1 = 0.007599088773175333
 SAFFRON_AI_ALPHA1 = 0.014970650935449265
 LORD_ALPHA7_AFTER_TAU5 = 0.004109711275288702
-AI_CONST_PSI_ALPHA1 = 0.0049751243781094535
 
 
 @pytest.fixture(scope="module")
@@ -256,14 +255,6 @@ def test_lord_spend_bounded_by_rejection_budget(pvalues, g16):
 
 
 # ------------------------------------------------------- alpha-investing
-
-
-def test_alpha_investing_constant_fraction_frozen(g2):
-    proc = AlphaInvesting(ALPHA, g2, spend_rule=lambda s: 0.1)
-    a, lam = proc.next_level()
-    assert a == lam == pytest.approx(AI_CONST_PSI_ALPHA1, abs=1e-15)
-    # the staked penalty is psi * wealth = 0.005, recovered by alpha/(1-alpha)
-    assert a / (1.0 - a) == pytest.approx(0.005, rel=1e-12)
 
 
 def test_alpha_investing_zero_wealth_is_inert(g2):

@@ -2,34 +2,17 @@
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinefdr.records import (
     DecisionRecord,
-    StreamTrace,
-    fdp_of,
-    power_of,
+    fdp_from_flags,
+    power_from_flags,
     validate_pvalue,
 )
 from replay_oracle import recount_fdp, recount_power
-
-
-def make_records(rejected, alpha=0.01, lam=0.5):
-    """Records realizing the given rejection bits (p = 0 rejects, p = 1 not)."""
-    return [
-        DecisionRecord(
-            index=i + 1,
-            p=0.0 if r else 1.0,
-            alpha=alpha,
-            lam=lam,
-            rejected=bool(r),
-            candidate=bool(r),
-        )
-        for i, r in enumerate(rejected)
-    ]
 
 
 def test_validate_pvalue_bounds():
@@ -57,48 +40,43 @@ def test_record_threshold_is_inclusive():
 
 
 def test_fdp_no_rejections_is_zero():
-    recs = make_records([False] * 5)
-    assert fdp_of(recs, [True] * 5) == 0.0
+    assert fdp_from_flags([False] * 5, [True] * 5) == 0.0
 
 
 def test_fdp_direct_count():
-    recs = make_records([True, True, True, False])
+    rejected = [True, True, True, False]
     labels = [True, False, False, True]  # rejected steps are null, non, non
-    assert fdp_of(recs, labels) == pytest.approx(1 / 3)
+    assert fdp_from_flags(rejected, labels) == pytest.approx(1 / 3)
 
 
 def test_power_all_non_nulls_rejected():
-    recs = make_records([True, True, True])
-    assert power_of(recs, [False, False, False]) == 1.0
+    assert power_from_flags([True, True, True], [False, False, False]) == 1.0
 
 
 def test_power_no_non_nulls_is_zero():
-    recs = make_records([True, False, True])
-    assert power_of(recs, [True, True, True]) == 0.0
+    assert power_from_flags([True, False, True], [True, True, True]) == 0.0
 
 
 def test_power_partial_count():
     rejected = [True] * 4 + [False] * 6
     labels = [False] * 10  # 10 non-nulls, 4 rejected
-    assert power_of(make_records(rejected), labels) == pytest.approx(0.4)
+    assert power_from_flags(rejected, labels) == pytest.approx(0.4)
 
 
 def test_length_mismatch_raises():
-    recs = make_records([True, False])
     with pytest.raises(ValueError):
-        fdp_of(recs, [True])
+        fdp_from_flags([True, False], [True])
     with pytest.raises(ValueError):
-        power_of(recs, [True, False, True])
+        power_from_flags([True, False], [True, False, True])
 
 
 def test_exhaustive_recount_all_lengths_up_to_8():
     # every rejection pattern x every label pattern, all stream lengths <= 8
     for k in range(1, 9):
         for rej_bits in itertools.product([False, True], repeat=k):
-            recs = make_records(rej_bits)
             for null_bits in itertools.product([False, True], repeat=k):
-                assert fdp_of(recs, null_bits) == recount_fdp(rej_bits, null_bits)
-                assert power_of(recs, null_bits) == recount_power(rej_bits, null_bits)
+                assert fdp_from_flags(rej_bits, null_bits) == recount_fdp(rej_bits, null_bits)
+                assert power_from_flags(rej_bits, null_bits) == recount_power(rej_bits, null_bits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,20 +88,6 @@ def test_exhaustive_recount_all_lengths_up_to_8():
 def test_recount_oracle_random(bits):
     rejected = [r for r, _ in bits]
     labels = [n for _, n in bits]
-    recs = make_records(rejected)
-    assert fdp_of(recs, labels) == pytest.approx(recount_fdp(rejected, labels))
-    assert power_of(recs, labels) == pytest.approx(recount_power(rejected, labels))
+    assert fdp_from_flags(rejected, labels) == pytest.approx(recount_fdp(rejected, labels))
+    assert power_from_flags(rejected, labels) == pytest.approx(recount_power(rejected, labels))
 
-
-def test_stream_trace_records_round_trip():
-    trace = StreamTrace(
-        pvalues=np.array([0.001, 0.7]),
-        alpha=np.array([0.01, 0.008]),
-        lam=np.array([0.5, 0.5]),
-        rejected=np.array([True, False]),
-        candidate=np.array([True, False]),
-    )
-    recs = trace.records()
-    assert [r.index for r in recs] == [1, 2]
-    assert recs[0].rejected and not recs[1].rejected
-    assert fdp_of(trace, [True, False]) == fdp_of(recs, [True, False]) == 1.0

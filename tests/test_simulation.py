@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from onlinefdr import simulation
 from onlinefdr.estimators import aggregate, mfdr
-from onlinefdr.records import fdp_of, power_of
+from onlinefdr.records import fdp_from_flags, power_from_flags
 from onlinefdr.simulation import (
     BetaAlternative,
     DataModel,
@@ -90,23 +91,34 @@ def base_config(**overrides):
     return SimConfig(**defaults)
 
 
+def trial_trace(cfg, trial_index):
+    """The trace and labels of one trial, recomputed from its documented parts."""
+    pvalues, is_null = generate_stream(cfg.model, trial_rng(cfg.seed, trial_index))
+    return cfg.procedure.build().run(pvalues), is_null
+
+
 def test_single_step_trial_is_well_defined():
-    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.0, T=1), keep_trace=True)
+    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.0, T=1))
     result = run_trial(cfg, 0)
-    assert len(result.trace) == 1
-    if not result.trace[0].rejected:
+    trace, _ = trial_trace(cfg, 0)
+    assert len(trace) == 1
+    if not trace.rejected[0]:
         assert result.fdp == 0.0
         assert result.rejections == 0
     assert result.power == 0.0  # no non-nulls at pi1 = 0
 
 
 def test_run_trial_is_deterministic():
-    cfg = base_config(keep_trace=True)
+    cfg = base_config()
     first = run_trial(cfg, 3)
     second = run_trial(cfg, 3)
     assert first == second
+    trace, again = trial_trace(cfg, 3)[0], trial_trace(cfg, 3)[0]
+    for field in ("pvalues", "alpha", "lam", "rejected", "candidate"):
+        assert np.array_equal(getattr(trace, field), getattr(again, field))
     other = run_trial(cfg, 4)
     assert other != first
+    assert not np.array_equal(trial_trace(cfg, 4)[0].pvalues, trace.pvalues)
 
 
 def test_trial_rng_split_is_documented_function_of_seed_and_index():
@@ -118,13 +130,12 @@ def test_trial_rng_split_is_documented_function_of_seed_and_index():
 
 
 def test_run_trial_metrics_match_trace_recount():
-    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.4, T=20), keep_trace=True)
+    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.4, T=20))
     result = run_trial(cfg, 0)
-    rng = trial_rng(cfg.seed, 0)
-    _, is_null = generate_stream(cfg.model, rng)
-    assert result.fdp == pytest.approx(fdp_of(result.trace, is_null))
-    assert result.power == pytest.approx(power_of(result.trace, is_null))
-    assert result.rejections == sum(r.rejected for r in result.trace)
+    trace, is_null = trial_trace(cfg, 0)
+    assert result.fdp == pytest.approx(fdp_from_flags(trace.rejected, is_null))
+    assert result.power == pytest.approx(power_from_flags(trace.rejected, is_null))
+    assert result.rejections == sum(trace.rejected)
 
 
 def test_single_cell_sweep_equals_aggregate():
@@ -156,6 +167,28 @@ def test_sweep_deterministic_across_job_counts():
     write_csv(serial, buf1)
     write_csv(parallel, buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    cfgs = grid(base_config(trials=2), pi1_values=[0.2, 0.6])
+    assert sweep(cfgs, jobs=5000) == sweep(cfgs, jobs=1)
+    assert started == [2]
 
 
 def test_null_streams_keep_every_procedure_below_alpha():
@@ -199,6 +232,14 @@ def test_model_spec_round_trip():
         parse_model("cauchy:1")
     with pytest.raises(ValueError):
         parse_model("beta:0.5")
+
+
+@pytest.mark.parametrize(
+    "text", ["gaussian:nan", "gaussian:inf", "gaussian:-inf", "beta:0.5:inf", "beta:nan:5"]
+)
+def test_non_finite_model_parameters_rejected(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_model(text)
 
 
 def test_config_validation():
