@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 from . import gamma as gamma_mod
 from . import offline as offline_mod
@@ -83,6 +83,7 @@ def _procedure(raw: str) -> str:
 
 
 def _method(raw: str) -> str:
+    # a UsageError of its own: the message carries no "bad value for" prefix
     if raw not in ("bh", "storey-bh"):
         raise UsageError(f"unknown method {raw!r} (known: bh, storey-bh)")
     return raw
@@ -185,7 +186,7 @@ def _canonical(command: str, values: dict[str, Any]) -> str:
 
 
 @contextmanager
-def _opened(path: str | None, mode: str, default):
+def _opened(path: str | None, mode: str, default: IO[str]) -> Iterator[IO[str]]:
     """The named file, closed on exit, or ``default`` (left open) when no path is given."""
     if not path:
         yield default
@@ -194,7 +195,7 @@ def _opened(path: str | None, mode: str, default):
         yield fh
 
 
-def _read_pvalues(fin) -> Iterator[float | ValueError]:
+def _read_pvalues(fin: IO[str]) -> Iterator[float | ValueError]:
     """Each non-blank line's p-value, or the error naming a bad line, one line at a time."""
     for lineno, line in enumerate(iter(fin.readline, ""), start=1):
         text = line.strip()

@@ -105,4 +105,3 @@ def power_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
     if non_null == 0:
         return 0.0
     return float((rejected & ~is_null).sum() / non_null)
-

@@ -170,4 +170,3 @@ def test_mfdr_plug_in_ratio():
     ]
     assert mfdr(trials) == pytest.approx(1.0 / 5.0)
     assert mfdr([TrialResult(fdp=0.0, power=0.0, rejections=0)]) == 0.0
-

@@ -90,4 +90,3 @@ def test_recount_oracle_random(bits):
     labels = [n for _, n in bits]
     assert fdp_from_flags(rejected, labels) == pytest.approx(recount_fdp(rejected, labels))
     assert power_from_flags(rejected, labels) == pytest.approx(recount_power(rejected, labels))
-
