@@ -19,6 +19,12 @@ NORMALIZER_LOG_OPTIMAL = 12.645107872872
 GAMMA1_LOG_OPTIMAL = 0.054815442266569536
 GAMMA1_BETA05 = 0.1956448183522752
 GAMMA2_BETA05 = 0.0489112045880688
+# Normalizers as summed over the first 1e7 terms (integral tail plus f/2):
+NORMALIZER_1E7 = {
+    "log-optimal": 12.645107872871753,
+    "beta:0.5": 2.455741061606366,
+    "beta:0.9": 109.38050186364661,
+}
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,11 @@ def test_beta_normalizer_matches_zeta_derivative_identity(beta05):
     assert beta05.normalizer == pytest.approx(raw_total - repair, rel=1e-10)
     assert beta05[1] == pytest.approx(GAMMA1_BETA05, rel=1e-12)
     assert beta05[2] == pytest.approx(GAMMA2_BETA05, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", sorted(NORMALIZER_1E7))
+def test_normalizer_matches_1e7_term_sum(spec):
+    assert G.from_spec(spec).normalizer == pytest.approx(NORMALIZER_1E7[spec], rel=1e-15)
 
 
 def test_beta_running_min_flattens_small_j(beta05):
