@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import gamma as gamma_mod
 from .estimators import aggregate
@@ -31,6 +30,8 @@ from .records import TrialResult, fdp_from_flags, power_from_flags
 
 def normal_sf(z):
     """Upper tail of the standard normal: Phi(-z) = erfc(z / sqrt(2)) / 2."""
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
 
 
@@ -209,12 +210,15 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
     """Run every cell; output order follows input order for any job count.
 
     At most one worker per cell is started: the pool forks all its workers
-    at the first submit, however few cells there are.
+    at the first submit, however few cells there are.  ``scipy.special`` is
+    imported before the fork, so that the workers inherit it.
     """
     if not configs:
         raise ValueError("sweep needs at least one configuration")
     if jobs <= 1 or len(configs) == 1:
         return [run_cell(c) for c in configs]
+    import scipy.special  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         return list(pool.map(run_cell, configs))
 

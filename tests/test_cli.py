@@ -251,6 +251,17 @@ def test_console_entry_point_runs():
     assert result.stdout.startswith("procedure,gamma,")
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where it is used (normal_sf, the beta-family tail)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, onlinefdr.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 # ------------------------------------------------------------ transcript
 #
 # Exact exit code, stdout and stderr of each invocation, recorded from the

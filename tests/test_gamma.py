@@ -91,7 +91,7 @@ def test_beta_normalizer_matches_zeta_derivative_identity(beta05):
     mpmath.mp.dps = 30
     raw_total = float((mpmath.log(2)) ** 2 + mpmath.zeta(2, 1, 2))
     repair = (math.log(3) / 3) ** 2 - (math.log(2) / 2) ** 2
-    assert beta05.normalizer == pytest.approx(raw_total - repair, rel=1e-10)
+    assert beta05.normalizer == pytest.approx(raw_total - repair, rel=1e-15)
     assert beta05[1] == pytest.approx(GAMMA1_BETA05, rel=1e-12)
     assert beta05[2] == pytest.approx(GAMMA2_BETA05, rel=1e-12)
 
@@ -119,11 +119,15 @@ def test_positive_nonincreasing_up_to_1e5(spec):
     assert (np.diff(values) <= 0).all()
 
 
-@pytest.mark.parametrize("spec", ["power:1.2", "power:1.6", "power:2", "log-optimal", "beta:0.5"])
-def test_sum_bracket_contains_one(spec):
-    lo, hi = G.from_spec(spec).sum_bracket()
-    assert lo <= 1.0 <= hi
-    assert hi - lo < 1e-6
+def assert_normalizer_is_zeta(seq, s):
+    with mpmath.workdps(30):
+        zeta = mpmath.zeta(s)
+        assert abs(mpmath.mpf(seq.normalizer) - zeta) <= 5e-16 * zeta
+
+
+@pytest.mark.parametrize("s", [1.2, 1.6, 2.0])
+def test_power_normalizer_within_an_ulp_or_two_of_zeta(s):
+    assert_normalizer_is_zeta(G.power_law(s), s)
 
 
 def test_bad_parameters_rejected():
@@ -175,9 +179,8 @@ def test_vector_lookup_matches_scalar(power16):
 @settings(max_examples=25, deadline=None)
 @given(s=st.floats(min_value=1.05, max_value=4.0))
 def test_power_law_properties_random_exponent(s):
-    seq = G.power_law(s, truncation=10**5)
-    lo, hi = seq.sum_bracket()
-    assert lo <= 1.0 <= hi
+    seq = G.power_law(s)
+    assert_normalizer_is_zeta(seq, s)
     head = seq.head(50)
     assert (head > 0).all()
     assert (np.diff(head) < 0).all()

@@ -2,6 +2,8 @@
 
 import io
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -189,6 +191,40 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
     cfgs = grid(base_config(trials=2), pi1_values=[0.2, 0.6])
     assert sweep(cfgs, jobs=5000) == sweep(cfgs, jobs=1)
     assert started == [2]
+
+
+# Run in a fresh interpreter, where nothing has imported scipy yet.
+SWEEP_IMPORT_PROBE = """
+import sys
+from onlinefdr import simulation as S
+
+class SerialPool:
+    def __init__(self, max_workers):
+        print("scipy.special" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+S.ProcessPoolExecutor = SerialPool
+base = S.SimConfig(S.DataModel(S.GaussianMean(3.0), 0.5, 20), S.ProcedureSpec("lord", 0.05, 0.025), 1, 1)
+assert "scipy" not in sys.modules
+S.sweep(S.grid(base, [0.2, 0.6]), jobs=2)
+"""
+
+
+def test_sweep_imports_scipy_special_before_the_pool_forks():
+    # forked workers inherit it instead of each importing it for normal_sf
+    result = subprocess.run(
+        [sys.executable, "-c", SWEEP_IMPORT_PROBE], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
 
 
 def test_null_streams_keep_every_procedure_below_alpha():
