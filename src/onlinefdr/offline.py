@@ -10,9 +10,15 @@ true nulls pi0_hat = (1 + #{P_i > lambda}) / (n * (1 - lambda)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+# Each side of the step-up comparison is off its exact value by at most two
+# roundings; past this gap the float comparison is already exact.
+_NEAR_ULPS = 8 * np.finfo(np.float64).eps
+_NEAR_ABS = 8 * np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -34,12 +40,22 @@ def _validated(pvalues: Sequence[float]) -> np.ndarray:
 
 
 def _best_threshold(p: np.ndarray, alpha: float, scale: float) -> float:
-    """Largest s among the observed p-values with n*s*scale/|R(s)| <= alpha."""
+    """Largest s among the observed p-values with n*s*scale/|R(s)| <= alpha.
+
+    The comparison n*s*scale <= alpha*|R(s)| is exact on the binary64 inputs:
+    the rounded products decide it unless they lie within a few ulps of each
+    other, and those near-ties are decided in rationals.
+    """
     n = len(p)
     ps = np.sort(p)
     # with ties, |R(p_(k))| is the rank of the last equal value
     ranks = np.searchsorted(ps, ps, side="right")
-    ok = n * ps * scale <= alpha * ranks
+    lhs = n * ps * scale
+    rhs = alpha * ranks
+    ok = lhs <= rhs
+    near = np.abs(lhs - rhs) <= _NEAR_ULPS * np.maximum(lhs, rhs) + _NEAR_ABS
+    for k in np.flatnonzero(near):
+        ok[k] = n * Fraction(ps[k]) * Fraction(scale) <= Fraction(alpha) * int(ranks[k])
     if not ok.any():
         return 0.0
     return float(ps[ok][-1])

@@ -1,8 +1,14 @@
-"""Step-up procedures against brute-force threshold-maximization oracles."""
+"""Step-up procedures against brute-force threshold-maximization oracles.
+
+"p <= level" means the exact comparison of the binary64 values, so both
+oracles compute in rationals.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onlinefdr.offline import bh, storey_bh, storey_pi0
@@ -18,7 +24,7 @@ def brute_force_threshold(pvalues, alpha, scale):
     best = 0.0
     for s in pvalues:
         hits = sum(1 for p in pvalues if p <= s)
-        if n * s * scale <= alpha * hits and s > best:
+        if n * Fraction(s) * Fraction(scale) <= Fraction(alpha) * hits and s > best:
             best = s
     return best
 
@@ -29,7 +35,7 @@ def classical_step_up(pvalues, alpha):
     n = len(ps)
     k_star = 0
     for k in range(1, n + 1):
-        if ps[k - 1] <= alpha * k / n:
+        if Fraction(ps[k - 1]) <= Fraction(alpha) * k / n:
             k_star = k
     if k_star == 0:
         return set()
@@ -77,6 +83,13 @@ def test_storey_known_instance_stricter_than_bh():
 
 @settings(max_examples=300, deadline=None)
 @given(pvalues=pvalue_lists, alpha=st.floats(min_value=0.01, max_value=0.3))
+# alpha * 3 / 3 rounds below alpha in binary64; exactly, p_(3) = alpha is on the line
+@example(pvalues=[0.0, 0.0, 0.11592259791548784], alpha=0.11592259791548784)
+# 3 * p_(3) and 3 * alpha round to one binary64 value, but p_(3) > alpha: no rejection
+@example(
+    pvalues=[0.039170836833204416, 0.11751251049961323, 0.11751251049961324],
+    alpha=0.11751251049961323,
+)
 def test_bh_matches_brute_force_and_step_up(pvalues, alpha):
     result = bh(pvalues, alpha)
     threshold = brute_force_threshold(pvalues, alpha, scale=1.0)
