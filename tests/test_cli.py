@@ -562,15 +562,15 @@ TRANSCRIPT = [
     case("stream-saffron", ["stream", *A, "--precision", "17"], stdin=STREAM_P, code=0,
          out=(
              "t,alpha,lambda,reject,candidate\n"
-             "1,0.0054686270721809194,0.5,1,1\n"
-             "2,0.010937254144361839,0.5,0,0\n"
-             "3,0.003607948341404767,0.5,0,1\n"
-             "4,0.003607948341404767,0.5,1,1\n"
-             "5,0.014545202485766606,0.5,0,0\n"
-             "6,0.0054938293897064715,0.5,0,1\n"
-             "7,0.0054938293897064715,0.5,0,0\n"
-             "8,0.0030760601428375879,0.5,1,1\n"
-             "9,0.014013314287199426,0.5,1,1\n"
+             "1,0.0054686270721809212,0.5,1,1\n"
+             "2,0.010937254144361842,0.5,0,0\n"
+             "3,0.0036079483414047674,0.5,0,1\n"
+             "4,0.0036079483414047674,0.5,1,1\n"
+             "5,0.014545202485766609,0.5,0,0\n"
+             "6,0.0054938293897064724,0.5,0,1\n"
+             "7,0.0054938293897064724,0.5,0,0\n"
+             "8,0.0030760601428375884,0.5,1,1\n"
+             "9,0.01401331428719943,0.5,1,1\n"
          )),
     case("stream-lord",
          ["stream", *A, "--procedure", "lord", "--w0", "0.01", "--gamma", "log-optimal"],
