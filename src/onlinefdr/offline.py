@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 # Each side of the step-up comparison is off its exact value by at most two
-# roundings; past this gap the float comparison is already exact.
+# roundings; past this gap the float comparison agrees with the exact one.
 _NEAR_ULPS = 8 * np.finfo(np.float64).eps
 _NEAR_ABS = 8 * np.finfo(np.float64).smallest_subnormal
 
