@@ -56,8 +56,8 @@ class GammaSequence:
         probe = max(truncation, _POSITIVE_THROUGH)
         if not float(raw(np.array([float(probe)]))[0]) > 0.0:
             raise ValueError(
-                f"raw weights for {spec!r} underflow to zero by the truncation "
-                f"point {probe}; the sequence would not be positive"
+                f"raw weights for {spec!r} underflow to zero by index {probe}; "
+                f"the sequence would not be positive"
             )
         self._spec = spec
         self._raw = raw
