@@ -656,7 +656,7 @@ TRANSCRIPT = [
     case("stream-missing-input", ["stream", *A, "--input", "nope.txt"], code=2,
          err="error: [Errno 2] No such file or directory: 'nope.txt'\n"),
     case("stream-gamma-underflow", ["stream", *A, "--gamma", "power:60"], stdin="0.001\n", code=2,
-         err="error: raw weights for 'power:60.0' underflow to zero by the truncation point 10000000; the sequence would not be positive\n"),
+         err="error: raw weights for 'power:60.0' underflow to zero by index 10000000; the sequence would not be positive\n"),
     case("offline-bh", ["offline", *A, "--input", "p.txt"],
          files={"p.txt": (
              "0.01\n"
