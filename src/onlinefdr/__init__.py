@@ -47,8 +47,6 @@ from .simulation import (
     normal_sf,
     parse_model,
     run_cell,
-    run_trial,
-    run_trials,
     sweep,
     trial_rng,
     write_csv,

@@ -80,8 +80,9 @@ class GammaSequence:
             [*head.tolist(), tail_integral(x), 0.5 * f_next, -slope(x) / 12.0]
         )
 
-        self._values = np.empty(0)
-        self._min_raw = math.inf
+        # The repaired head is the first stretch of the value cache.
+        self._values = head / self._normalizer
+        self._min_raw = float(head[-1])
 
     @property
     def spec(self) -> str:

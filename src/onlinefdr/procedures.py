@@ -5,16 +5,17 @@ pair (test level alpha_t, candidacy threshold lambda_t) for the current step,
 computed from past rejections and candidacies only, and ``observe(p)`` commits
 the p-value, returning a :class:`DecisionRecord` and advancing the state.
 ``step(p)`` fuses the two; ``run(pvalues)`` streams a whole array through and
-returns a :class:`StreamTrace`.
+returns a :class:`StreamTrace`.  ``run_batch(pvalues)`` decides every row of a
+(B, T) matrix as a stream of its own, all rows in lockstep over t, which is
+how the simulation harness runs its trials.
 
 Implemented procedures:
 
 * :class:`Saffron` -- adaptive candidacy with a constant threshold lambda.
   Wealth is only spent on non-candidate tests, and every rejection after the
   first earns (1 - lambda) * alpha back.
-* :class:`AdaptiveSaffron` -- lambda_t tied to alpha_t through a non-decreasing
-  map h with h(x) >= x; :func:`saffron_ai` picks h = identity, the monotone
-  alpha-investing variant where lambda_t == alpha_t.
+* :class:`AdaptiveSaffron` -- lambda_t = alpha_t = s_t / (1 + s_t), the
+  monotone alpha-investing variant built by :func:`saffron_ai`.
 * :class:`Lord` -- the non-adaptive special case: wealth is spent at every
   step and the payout schedule is indexed by time since each rejection.
 * :class:`AlphaInvesting` -- the classic (non-monotone) wealth machine that
@@ -22,16 +23,19 @@ Implemented procedures:
 
 The first three share one payout kernel on a clock of non-candidate steps
 (see ``_GammaInvesting``): a candidate step costs O(1), a tick one O(clock)
-contiguous dot product.
+contiguous dot product.  The level rules :func:`saffron_level` and
+:func:`investing_level` are written once and serve both the scalar machine
+and the batched kernel.
 
 All step counters, rejection times, and gamma indices are 1-based.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gamma import GammaSequence
 from .records import DecisionRecord, StreamTrace, validate_pvalue
@@ -47,6 +51,35 @@ def _check_params(alpha: float, w0: float) -> tuple[float, float]:
     if not 0.0 < w0 <= alpha:
         raise ValueError(f"initial wealth must lie in (0, alpha], got {w0}")
     return float(alpha), float(w0)
+
+
+def saffron_level(s, lam, minimum=min):
+    """SAFFRON's test level min(lam, (1 - lam) * s) at payout s.
+
+    ``s`` is a float, or an array of payouts with ``minimum=np.minimum``.
+    """
+    return minimum(lam, (1.0 - lam) * s)
+
+
+def investing_level(s):
+    """s / (1 + s): the level whose alpha-investing cost alpha / (1 - alpha) is s.
+
+    Saffron-ai's level at payout s, and alpha-investing's at penalty s; a
+    float or an array.
+    """
+    return s / (1.0 + s)
+
+
+def _as_pvalues(pvalues, ndim: int) -> np.ndarray:
+    pv = np.asarray(pvalues, dtype=np.float64)
+    if pv.ndim != ndim:
+        raise ValueError(f"p-values must form a {ndim}-dimensional array, got {pv.ndim}")
+    ok = (pv >= 0.0) & (pv <= 1.0)
+    if not ok.all():
+        bad = np.unravel_index(int(np.argmax(~ok)), pv.shape)
+        where = int(bad[0]) if ndim == 1 else tuple(map(int, bad))
+        raise ValueError(f"p-value out of [0, 1] at position {where}: {pv[bad]}")
+    return pv
 
 
 class OnlineProcedure:
@@ -109,12 +142,7 @@ class OnlineProcedure:
 
     def run(self, pvalues: Sequence[float] | np.ndarray) -> StreamTrace:
         """Stream an array of p-values through the procedure."""
-        pv = np.asarray(pvalues, dtype=np.float64)
-        if pv.ndim != 1:
-            raise ValueError("p-value stream must be one-dimensional")
-        if len(pv) and not ((pv >= 0.0) & (pv <= 1.0)).all():
-            bad = int(np.argmax(~((pv >= 0.0) & (pv <= 1.0))))
-            raise ValueError(f"p-value out of [0, 1] at position {bad}: {pv[bad]}")
+        pv = _as_pvalues(pvalues, 1)
         n = len(pv)
         alphas = np.empty(n)
         lams = np.empty(n)
@@ -131,6 +159,26 @@ class OnlineProcedure:
             candidate[i] = c
             self._commit(r, c)
         return StreamTrace(pv, alphas, lams, rejected, candidate)
+
+    def run_batch(self, pvalues: np.ndarray) -> StreamTrace:
+        """Decide each row of a (B, T) p-value matrix as a stream of its own.
+
+        All rows start from the procedure's initial state and advance in
+        lockstep over t; this machine's own state is neither read nor
+        changed.  Returns a :class:`StreamTrace` of (B, T) arrays.  A row's
+        decisions do not depend on which other rows share the batch.  They
+        match ``run`` on that row, the levels to rounding: the batched payout
+        sum adds its terms in another order.
+        """
+        pv = _as_pvalues(pvalues, 2)
+        alphas, lams, rejected, candidate = self._run_batch(np.ascontiguousarray(pv.T))
+        return StreamTrace(pv, alphas.T, lams.T, rejected.T, candidate.T)
+
+    def _run_batch(
+        self, pt: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Levels, thresholds and bits as (T, B) arrays for the (T, B) p-values ``pt``."""
+        raise NotImplementedError
 
     def load_history(
         self, rejected: Sequence[bool], candidate: Sequence[bool] | None = None
@@ -155,6 +203,14 @@ class OnlineProcedure:
             self._commit(r, c)
 
 
+# The batched payout sums run over a multiple of this many slots.  einsum's
+# vectorized dot adds the terms of a final, partial group of lanes in another
+# order than those of a full group.  With no partial group, the zero slots
+# past a row's clock add exactly nothing, and a row's payout does not depend
+# on how far the other rows' clocks have run.
+_SLOT_BLOCK = 64
+
+
 class _GammaInvesting(OnlineProcedure):
     """The payout kernel shared by saffron, saffron-ai and lord.
 
@@ -166,7 +222,8 @@ class _GammaInvesting(OnlineProcedure):
     a rejection adds its weight at slot ``clock`` of one dense array, merging
     with windows opened at the same clock value, and s_t is one contiguous dot
     of the slots with the reversed gamma head.  s_t is cached until the next
-    tick or rejection.
+    tick or rejection.  Subclasses turn s_t into the level pair in
+    ``_levels``, which both the scalar machine and the batched kernel call.
     """
 
     _ticks_on_candidates = False
@@ -181,6 +238,13 @@ class _GammaInvesting(OnlineProcedure):
         self._weights[0] = self.w0
         self._grev = gamma.head(1024)[::-1].copy()
         self._s: float | None = None
+
+    def _levels(self, s, minimum=min):
+        """The (alpha_t, lambda_t) pair at payout s (floats, or arrays with np.minimum)."""
+        raise NotImplementedError
+
+    def _compute_levels(self) -> tuple[float, float]:
+        return self._levels(self._payout())
 
     def _payout(self) -> float:
         if self._s is None:
@@ -201,6 +265,47 @@ class _GammaInvesting(OnlineProcedure):
             self._nrej += 1
             self._weights[self._clock] += self.alpha - self.w0 if self._nrej == 1 else self.alpha
             self._s = None
+
+    def _run_batch(self, pt):
+        # The same slots and clock as the scalar machine, one row per stream.
+        # Every row's s is recomputed at every step: recomputing only the
+        # rows that ticked or rejected measured no faster, since gathering
+        # those rows costs as much as the dot it saves.
+        T, B = pt.shape
+        n = -(-(T + 1) // _SLOT_BLOCK) * _SLOT_BLOCK
+        grev = np.zeros(2 * n)
+        grev[:n] = self.gamma.head(n)[::-1]
+        # windows[n - 1 - c, k] = gamma_{1 + c - k} for k <= c, else 0
+        windows = sliding_window_view(grev, n)
+        weights = np.zeros((B, n))
+        weights[:, 0] = self.w0
+        clock = np.zeros(B, dtype=np.intp)
+        has_rejected = np.zeros(B, dtype=bool)
+        alphas, lams = np.empty((T, B)), np.empty((T, B))
+        rejected, candidate = np.empty((T, B), dtype=bool), np.empty((T, B), dtype=bool)
+        for t in range(T):
+            if self._ticks_on_candidates:  # one shared clock, equal to t
+                k = -(-(t + 1) // _SLOT_BLOCK) * _SLOT_BLOCK
+                s = np.einsum("ij,j->i", weights[:, :k], windows[n - 1 - t, :k])
+            else:
+                k = -(-(int(clock.max(initial=0)) + 1) // _SLOT_BLOCK) * _SLOT_BLOCK
+                s = np.einsum("ij,ij->i", weights[:, :k], windows[n - 1 - clock, :k])
+            a, lam = self._levels(s, np.minimum)
+            p = pt[t]
+            r = p <= a
+            c = p <= lam
+            alphas[t], lams[t], rejected[t], candidate[t] = a, lam, r, c
+            if self._ticks_on_candidates:
+                clock += 1
+            else:
+                clock += ~c
+            rows = np.flatnonzero(r)
+            if rows.size:
+                weights[rows, clock[rows]] += np.where(
+                    has_rejected[rows], self.alpha, self.alpha - self.w0
+                )
+                has_rejected[rows] = True
+        return alphas, lams, rejected, candidate
 
 
 class Saffron(_GammaInvesting):
@@ -224,65 +329,25 @@ class Saffron(_GammaInvesting):
             raise ValueError(f"candidacy threshold must lie in (0, 1), got {lam}")
         self.lam = float(lam)
 
-    def _compute_levels(self) -> tuple[float, float]:
-        return min(self.lam, (1.0 - self.lam) * self._payout()), self.lam
+    def _levels(self, s, minimum=min):
+        return saffron_level(s, self.lam, minimum), self.lam
 
 
 class AdaptiveSaffron(_GammaInvesting):
-    """Saffron variant with lambda_t = h(alpha_t).
+    """Saffron with lambda_t = alpha_t, the monotone alpha-investing rule.
 
-    ``h`` must be non-decreasing on (0, 1) with h(x) >= x, which keeps the
-    emitted levels monotone in the history.  The level solves
-    alpha_t / (1 - h(alpha_t)) = s_t; for h = identity (the default, the
-    monotone alpha-investing rule) the closed form alpha_t = s_t / (1 + s_t)
-    is used, and lambda_t equals alpha_t exactly.  Other maps are solved by
-    bisection to absolute tolerance 1e-12.
+    The level solves alpha_t / (1 - alpha_t) = s_t, so alpha_t = s_t / (1 + s_t)
+    and lambda_t equals alpha_t exactly.
     """
 
-    _BISECT_TOL = 1e-12
-
-    def __init__(
-        self,
-        alpha: float,
-        w0: float,
-        gamma: GammaSequence,
-        h: Callable[[float], float] | None = None,
-    ):
-        super().__init__(alpha, w0, gamma)
-        self.h = h
-
-    def _compute_levels(self) -> tuple[float, float]:
-        s = self._payout()
-        if self.h is None:
-            a = s / (1.0 + s)
-            return a, a
-        a = self._invert(s)
-        lam = float(self.h(a))
-        if not a <= lam < 1.0:
-            raise ValueError(
-                f"threshold map must satisfy x <= h(x) < 1, got h({a}) = {lam}"
-            )
-        return a, lam
-
-    def _invert(self, s: float) -> float:
-        def q(x: float) -> float:
-            return x / (1.0 - self.h(x))
-
-        lo, hi = 0.0, 1.0 - self._BISECT_TOL
-        if q(hi) <= s:
-            return hi
-        while hi - lo > self._BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if q(mid) < s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def _levels(self, s, minimum=min):
+        a = investing_level(s)
+        return a, a
 
 
 def saffron_ai(alpha: float, w0: float, gamma: GammaSequence) -> AdaptiveSaffron:
     """The monotone alpha-investing rule: lambda_t = alpha_t = s_t / (1 + s_t)."""
-    return AdaptiveSaffron(alpha, w0, gamma, h=None)
+    return AdaptiveSaffron(alpha, w0, gamma)
 
 
 class Lord(_GammaInvesting):
@@ -299,9 +364,8 @@ class Lord(_GammaInvesting):
 
     _ticks_on_candidates = True
 
-    def _compute_levels(self) -> tuple[float, float]:
-        a = self._payout()
-        return a, a
+    def _levels(self, s, minimum=min):
+        return s, s
 
 
 class AlphaInvesting(OnlineProcedure):
@@ -326,7 +390,7 @@ class AlphaInvesting(OnlineProcedure):
 
     def _compute_levels(self) -> tuple[float, float]:
         self._pen = self.gamma[self._t] * self.wealth
-        a = self._pen / (1.0 + self._pen)
+        a = investing_level(self._pen)
         return a, a
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
@@ -334,6 +398,21 @@ class AlphaInvesting(OnlineProcedure):
             self.wealth += self.alpha
         else:
             self.wealth -= self._pen
+
+    def _run_batch(self, pt):
+        # The same arithmetic as the scalar machine, a wealth per row.
+        T, B = pt.shape
+        psi = self.gamma.head(T)
+        wealth = np.full(B, self.alpha)
+        alphas = np.empty((T, B))
+        rejected = np.empty((T, B), dtype=bool)
+        for t in range(T):
+            pen = psi[t] * wealth
+            a = investing_level(pen)
+            r = pt[t] <= a
+            alphas[t], rejected[t] = a, r
+            wealth = np.where(r, wealth + self.alpha, wealth - pen)
+        return alphas, alphas, rejected, rejected
 
 
 def make_procedure(

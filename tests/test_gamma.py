@@ -186,3 +186,13 @@ def test_power_law_properties_random_exponent(s):
     assert (np.diff(head) < 0).all()
     # raw ratio check, independent of the normalizer
     assert seq[2] / seq[1] == pytest.approx(2.0**-s, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["power:1.6", "log-optimal", "beta:0.5"])
+def test_cached_values_equal_one_running_minimum_pass(spec):
+    # the constructor's head and every later extension read as one pass
+    seq = G.from_spec(spec)
+    n = 200_000
+    raw = seq._raw(np.arange(1, n + 1, dtype=np.float64))
+    want = np.minimum.accumulate(raw) / seq.normalizer
+    assert np.array_equal(seq.head(n), want)

@@ -1,7 +1,8 @@
 """Decisions frozen by ``make_golden.py`` before the payout kernel changed.
 
 Every procedure must reproduce the fixture's rejection and candidate bits
-exactly and its levels within rel 1e-12.
+exactly and its levels within rel 1e-12, both stream by stream through
+``run`` and in batches through ``run_batch``.
 """
 
 import json
@@ -47,3 +48,31 @@ def test_decisions_match_golden(name, golden):
         assert (trace.lam == expected_lam).all(), s
         lo = hi
     assert lo == len(want_alpha)
+
+
+@pytest.mark.parametrize("name", make_golden.PROCEDURES)
+def test_batched_decisions_match_golden(name, golden):
+    meta = golden["meta"]
+    table = meta["streams"]
+    n = sum(s["T"] for s in table)
+    want_alpha = golden[f"{name}.alpha"]
+    want_rej = np.unpackbits(golden[f"{name}.rejected"], count=n).astype(bool)
+    want_cand = np.unpackbits(golden[f"{name}.candidate"], count=n).astype(bool)
+    starts = np.cumsum([0] + [s["T"] for s in table])
+    groups = {}
+    for k, s in enumerate(table):
+        groups.setdefault((s["gamma"], s["w0"], s["T"]), []).append(k)
+    assert len(groups) < len(table)  # some batches hold several streams
+    for (gamma, w0, T), members in groups.items():
+        proc = make_procedure(name, meta["alpha"], w0, from_spec(gamma), meta["lam"])
+        pvalues = [make_golden.pvalues(table[k]["seed"], T, table[k]["pi1"]) for k in members]
+        trace = proc.run_batch(np.array(pvalues))
+        for row, k in enumerate(members):
+            lo, hi = starts[k], starts[k + 1]
+            assert trace.rejected[row].tolist() == want_rej[lo:hi].tolist(), table[k]
+            assert trace.candidate[row].tolist() == want_cand[lo:hi].tolist(), table[k]
+            np.testing.assert_allclose(
+                trace.alpha[row], want_alpha[lo:hi], rtol=1e-12, atol=0, err_msg=str(table[k])
+            )
+            expected_lam = meta["lam"] if name == "saffron" else trace.alpha[row]
+            assert (trace.lam[row] == expected_lam).all(), table[k]

@@ -8,20 +8,18 @@ rejection before any tick (merging it with W0), and the long gap pushes the
 clock past the kernel's initial 1024-slot buffers.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinefdr import gamma as G
-from onlinefdr.procedures import AdaptiveSaffron, Lord, Saffron, saffron_ai
+from onlinefdr.procedures import Lord, Saffron, saffron_ai
 import replay_oracle as oracle
 
 ALPHA = 0.05
 LAM = 0.5
 LONG_GAP = 1100  # more than the 1024 slots the kernel starts with
-PROCEDURES = ("saffron", "saffron-ai", "saffron-sqrt", "lord")
+PROCEDURES = ("saffron", "saffron-ai", "lord")
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +32,6 @@ def build(name, w0, gam):
         return Saffron(ALPHA, w0, gam, LAM)
     if name == "saffron-ai":
         return saffron_ai(ALPHA, w0, gam)
-    if name == "saffron-sqrt":
-        return AdaptiveSaffron(ALPHA, w0, gam, h=math.sqrt)
     return Lord(ALPHA, w0, gam)
 
 
@@ -58,15 +54,8 @@ def check_levels(name, w0, gam, R, C):
         assert a == lam == pytest.approx(oracle.lord_level(R, ALPHA, w0, gam), rel=1e-12)
     elif name == "saffron":
         assert (a, lam) == pytest.approx(oracle.saffron_levels(R, C, ALPHA, w0, gam, LAM), rel=1e-12)
-    elif name == "saffron-ai":
-        assert (a, lam) == pytest.approx(oracle.saffron_ai_levels(R, C, ALPHA, w0, gam), rel=1e-12)
     else:
-        # h = sqrt: x / (1 - sqrt(x)) = s gives x = u^2 with u^2 + s u - s = 0;
-        # the bisection is accurate to its documented 1e-12 absolute tolerance
-        s = oracle.payout_sum(R, C, ALPHA, w0, gam, discounted=True)
-        u = (-s + math.sqrt(s * s + 4.0 * s)) / 2.0
-        assert a == pytest.approx(u * u, abs=2e-12)
-        assert lam == math.sqrt(a)
+        assert (a, lam) == pytest.approx(oracle.saffron_ai_levels(R, C, ALPHA, w0, gam), rel=1e-12)
     # the machine keeps stepping after the checked level
     proc.observe(1.0)
     assert proc.next_level() == proc.next_level()

@@ -1,7 +1,5 @@
 """Online procedures against from-scratch replay oracles and invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from onlinefdr import gamma as G
 from onlinefdr.procedures import (
-    AdaptiveSaffron,
+    PROCEDURE_NAMES,
     AlphaInvesting,
     Lord,
     ProtocolError,
@@ -183,30 +181,6 @@ def test_saffron_ai_random_streams_match_replay_oracle(pvalues, g16):
         C.append(rec.candidate)
 
 
-def test_adaptive_saffron_bisection_matches_closed_form(g2):
-    # h(x) = sqrt(x) >= x on (0,1): x / (1 - sqrt(x)) = s has the closed form
-    # x = u^2 with u the positive root of u^2 + s u - s = 0
-    proc = AdaptiveSaffron(ALPHA, W0, g2, h=math.sqrt)
-    R, C = [], []
-    for p in [0.3, 0.001, 0.8, 0.0, 0.6, 0.005, 1.0]:
-        a, lam = proc.next_level()
-        s = oracle.payout_sum(R, C, ALPHA, W0, g2, discounted=True)
-        u = (-s + math.sqrt(s * s + 4.0 * s)) / 2.0
-        assert a == pytest.approx(u * u, abs=2e-12)
-        assert lam == pytest.approx(math.sqrt(a), rel=1e-12)
-        assert a <= lam
-        rec = proc.observe(p)
-        R.append(rec.rejected)
-        C.append(rec.candidate)
-    assert any(R)
-
-
-def test_adaptive_saffron_rejects_bad_threshold_map(g2):
-    proc = AdaptiveSaffron(ALPHA, W0, g2, h=lambda x: x / 2.0)  # h(x) < x
-    with pytest.raises(ValueError):
-        proc.next_level()
-
-
 # ------------------------------------------------------------------ lord
 
 
@@ -324,6 +298,31 @@ def test_run_rejects_bad_pvalues(g2):
         Saffron(ALPHA, W0, g2).run([0.5, 1.5])
     with pytest.raises(ValueError):
         Saffron(ALPHA, W0, g2).run(np.array([[0.5]]))
+    with pytest.raises(ValueError):
+        Saffron(ALPHA, W0, g2).run_batch([0.5, 0.2])
+    with pytest.raises(ValueError, match=r"position \(1, 0\)"):
+        Saffron(ALPHA, W0, g2).run_batch([[0.5], [-0.1]])
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_run_batch_rows_do_not_depend_on_the_batch(name, g16):
+    # every row its own signal fraction, so the rows' clocks and wealth drift apart
+    rng = np.random.default_rng(23)
+    u = rng.random((3, 150, 300))
+    pvalues = np.where(u[0] < rng.random((150, 1)), u[1] ** 8, u[2])
+    proc = make_procedure(name, ALPHA, W0, g16)
+    whole = proc.run_batch(pvalues)
+    # alone, and on both sides of a split where a batch would end
+    for rows in (slice(7, 8), slice(100, 101), slice(0, 64), slice(64, 150)):
+        part = proc.run_batch(pvalues[rows])
+        for field in ("alpha", "lam", "rejected", "candidate"):
+            assert np.array_equal(getattr(part, field), getattr(whole, field)[rows]), (rows, field)
+    assert proc.t == 1  # the machine itself did not move
+    for i in (7, 100):
+        trace = make_procedure(name, ALPHA, W0, g16).run(pvalues[i])
+        assert trace.rejected.tolist() == whole.rejected[i].tolist()
+        assert trace.candidate.tolist() == whole.candidate[i].tolist()
+        np.testing.assert_allclose(whole.alpha[i], trace.alpha, rtol=1e-12, atol=0)
 
 
 def test_run_equals_stepwise(g16):

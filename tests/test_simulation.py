@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from scipy import stats
 
 from onlinefdr import simulation
 from onlinefdr.estimators import aggregate, mfdr
-from onlinefdr.records import fdp_from_flags, power_from_flags
+from onlinefdr.records import TrialResult, fdp_from_flags, power_from_flags
 from onlinefdr.simulation import (
     BetaAlternative,
     DataModel,
@@ -25,8 +26,6 @@ from onlinefdr.simulation import (
     normal_sf,
     parse_model,
     run_cell,
-    run_trial,
-    run_trials,
     sweep,
     trial_rng,
     write_csv,
@@ -99,26 +98,40 @@ def trial_trace(cfg, trial_index):
     return cfg.procedure.build().run(pvalues), is_null
 
 
+def trial_results(cfg):
+    """Every trial of a cell, one scalar ``run`` at a time."""
+    results = []
+    for i in range(cfg.trials):
+        trace, is_null = trial_trace(cfg, i)
+        results.append(
+            TrialResult(
+                fdp_from_flags(trace.rejected, is_null),
+                power_from_flags(trace.rejected, is_null),
+                int(trace.rejected.sum()),
+            )
+        )
+    return results
+
+
 def test_single_step_trial_is_well_defined():
-    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.0, T=1))
-    result = run_trial(cfg, 0)
+    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.0, T=1), trials=1)
+    row = run_cell(cfg)
     trace, _ = trial_trace(cfg, 0)
     assert len(trace) == 1
     if not trace.rejected[0]:
-        assert result.fdp == 0.0
-        assert result.rejections == 0
-    assert result.power == 0.0  # no non-nulls at pi1 = 0
+        assert row.fdr == 0.0
+    assert row.power == 0.0  # no non-nulls at pi1 = 0
 
 
-def test_run_trial_is_deterministic():
+def test_run_cell_is_deterministic():
     cfg = base_config()
-    first = run_trial(cfg, 3)
-    second = run_trial(cfg, 3)
+    first = run_cell(cfg)
+    second = run_cell(cfg)
     assert first == second
     trace, again = trial_trace(cfg, 3)[0], trial_trace(cfg, 3)[0]
     for field in ("pvalues", "alpha", "lam", "rejected", "candidate"):
         assert np.array_equal(getattr(trace, field), getattr(again, field))
-    other = run_trial(cfg, 4)
+    other = run_cell(replace(cfg, seed=43))
     assert other != first
     assert not np.array_equal(trial_trace(cfg, 4)[0].pvalues, trace.pvalues)
 
@@ -131,19 +144,18 @@ def test_trial_rng_split_is_documented_function_of_seed_and_index():
     assert trial_rng(43, 1).random(4).tolist() != trial_rng(42, 1).random(4).tolist()
 
 
-def test_run_trial_metrics_match_trace_recount():
-    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.4, T=20))
-    result = run_trial(cfg, 0)
+def test_run_cell_metrics_match_trace_recount():
+    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.4, T=20), trials=1)
+    row = run_cell(cfg)
     trace, is_null = trial_trace(cfg, 0)
-    assert result.fdp == pytest.approx(fdp_from_flags(trace.rejected, is_null))
-    assert result.power == pytest.approx(power_from_flags(trace.rejected, is_null))
-    assert result.rejections == sum(trace.rejected)
+    assert row.fdr == pytest.approx(fdp_from_flags(trace.rejected, is_null))
+    assert row.power == pytest.approx(power_from_flags(trace.rejected, is_null))
 
 
 def test_single_cell_sweep_equals_aggregate():
     cfg = base_config()
     rows = sweep([cfg])
-    summary = aggregate(run_trials(cfg))
+    summary = aggregate(trial_results(cfg))
     assert len(rows) == 1
     assert rows[0].fdr == summary.fdr
     assert rows[0].power == summary.power
@@ -171,7 +183,13 @@ def test_sweep_deterministic_across_job_counts():
     assert buf1.getvalue() == buf2.getvalue()
 
 
-def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+TWO_PROCEDURES = [
+    ProcedureSpec("saffron", 0.05, 0.025, 0.5, "power:1.6"),
+    ProcedureSpec("lord", 0.05, 0.025, 0.5, "power:1.6"),
+]
+
+
+def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
     started = []
 
     class SerialPool:
@@ -188,9 +206,46 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    # two cells of one procedure share one batch: no pool at all
     cfgs = grid(base_config(trials=2), pi1_values=[0.2, 0.6])
     assert sweep(cfgs, jobs=5000) == sweep(cfgs, jobs=1)
+    assert started == []
+    cfgs = grid(base_config(trials=2), pi1_values=[0.2, 0.6], procedures=TWO_PROCEDURES)
+    assert sweep(cfgs, jobs=5000) == sweep(cfgs, jobs=1)
     assert started == [2]
+
+
+def test_sweep_batches_follow_procedure_and_length(monkeypatch):
+    base = base_config(trials=5)
+    short = replace(base.model, T=50)
+    cfgs = grid(base, [0.2, 0.6], TWO_PROCEDURES) + [replace(base, model=short)]
+    assert simulation._plan_batches(cfgs) == [
+        [(0, 0, 5), (1, 0, 5)],
+        [(2, 0, 5), (3, 0, 5)],
+        [(4, 0, 5)],
+    ]
+    # a cap of 7 trials at T = 100 splits the first cell's trials across batches
+    monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 7 * 100)
+    assert simulation._plan_batches(cfgs[:2]) == [[(0, 0, 5), (1, 0, 2)], [(1, 2, 5)]]
+
+
+def test_sweep_rows_do_not_depend_on_batch_boundaries(monkeypatch):
+    cfgs = grid(base_config(trials=6), [0.1, 0.5, 0.9], TWO_PROCEDURES)
+    whole = sweep(cfgs)
+    assert whole == [aggregate_row(c) for c in cfgs]
+    for cap in (1, 4, 7):
+        monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", cap * 100)
+        assert sweep(cfgs) == whole, cap
+        assert sweep(cfgs, jobs=3) == whole, cap
+
+
+def aggregate_row(cfg):
+    """The cell's row from one scalar ``run`` per trial."""
+    s = aggregate(trial_results(cfg))
+    return simulation.SweepRow(
+        cfg.procedure.name, cfg.procedure.gamma, cfg.model.pi1, s.fdr, s.fdr_se,
+        s.power, s.power_se, cfg.trials, cfg.seed,
+    )
 
 
 # Run in a fresh interpreter, where nothing has imported scipy yet.
@@ -213,8 +268,9 @@ class SerialPool:
 
 S.ProcessPoolExecutor = SerialPool
 base = S.SimConfig(S.DataModel(S.GaussianMean(3.0), 0.5, 20), S.ProcedureSpec("lord", 0.05, 0.025), 1, 1)
+procs = [S.ProcedureSpec("lord", 0.05, 0.025), S.ProcedureSpec("saffron", 0.05, 0.025)]
 assert "scipy" not in sys.modules
-S.sweep(S.grid(base, [0.2, 0.6]), jobs=2)
+S.sweep(S.grid(base, [0.2, 0.6], procs), jobs=2)
 """
 
 
@@ -235,13 +291,13 @@ def test_null_streams_keep_every_procedure_below_alpha():
             procedure=ProcedureSpec(name, 0.05, 0.025, 0.5, "power:1.6"),
             trials=200,
         )
-        summary = aggregate(run_trials(cfg))
-        assert summary.fdr <= 0.05 + 3 * summary.fdr_se + 1e-12, name
+        row = run_cell(cfg)
+        assert row.fdr <= 0.05 + 3 * row.fdr_se + 1e-12, name
 
 
 def test_mfdr_plug_in_stays_near_alpha():
     cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.5, T=300), trials=200)
-    value = mfdr(run_trials(cfg))
+    value = mfdr(trial_results(cfg))
     assert value <= 0.05 + 0.02
 
 
