@@ -230,13 +230,29 @@ def test_sweep_batches_follow_procedure_and_length(monkeypatch):
 
 
 def test_sweep_rows_do_not_depend_on_batch_boundaries(monkeypatch):
-    cfgs = grid(base_config(trials=6), [0.1, 0.5, 0.9], TWO_PROCEDURES)
+    cfgs = grid(base_config(trials=20), [0.1, 0.5, 0.9], TWO_PROCEDURES)
     whole = sweep(cfgs)
     assert whole == [aggregate_row(c) for c in cfgs]
-    for cap in (1, 4, 7):
+    # batches of 16, 23 and 60 rows, and 7 rows, too few to batch at all
+    for cap in (16, 23, 60, 7):
         monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", cap * 100)
         assert sweep(cfgs) == whole, cap
         assert sweep(cfgs, jobs=3) == whole, cap
+
+
+def test_only_streams_too_long_to_batch_go_one_at_a_time(monkeypatch):
+    calls = []
+    run, run_batch = simulation.OnlineProcedure.run, simulation.OnlineProcedure.run_batch
+    monkeypatch.setattr(simulation.OnlineProcedure, "run",
+                        lambda self, p: calls.append("run") or run(self, p))
+    monkeypatch.setattr(simulation.OnlineProcedure, "run_batch",
+                        lambda self, p: calls.append("run_batch") or run_batch(self, p))
+    monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 16 * 100)
+    sweep([base_config(trials=3)])  # T = 100: a batch of 3 rows, still batched
+    assert calls == ["run_batch"]
+    calls.clear()
+    sweep([base_config(model=DataModel(GaussianMean(3.0), pi1=0.5, T=101), trials=3)])
+    assert calls == ["run"] * 3
 
 
 def aggregate_row(cfg):
