@@ -329,7 +329,7 @@ def test_criterion_9_determinism_byte_identical_csv():
     first, second = csv_bytes(1), csv_bytes(1)
     if first != second:
         failures.append("two serial runs differ")
-    for jobs in (2, 3):  # three workers split the batches unevenly
+    for jobs in (2, 3):  # 3 asks for more workers than there are batches
         if csv_bytes(jobs) != first:
             failures.append(f"run with {jobs} workers differs from serial run")
     report("criterion 9: byte-identical CSV across runs and worker counts", failures)

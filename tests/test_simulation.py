@@ -2,9 +2,9 @@
 
 import io
 import math
-from dataclasses import replace
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -224,7 +224,7 @@ def test_sweep_batches_follow_procedure_and_length(monkeypatch):
         [(2, 0, 5), (3, 0, 5)],
         [(4, 0, 5)],
     ]
-    # a cap of 7 trials at T = 100 splits the first cell's trials across batches
+    # a cap of 7 trials at T = 100 splits the second cell's trials across batches
     monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 7 * 100)
     assert simulation._plan_batches(cfgs[:2]) == [[(0, 0, 5), (1, 0, 2)], [(1, 2, 5)]]
 
