@@ -165,8 +165,9 @@ class OnlineProcedure:
 
         All rows start from the procedure's initial state and advance in
         lockstep over t; this machine's own state is neither read nor
-        changed.  Returns a :class:`StreamTrace` of (B, T) arrays.  A row's
-        decisions do not depend on which other rows share the batch.  They
+        changed.  Returns a :class:`StreamTrace` of (B, T) arrays, one row
+        per stream; the estimators read one stream at a time and refuse it.
+        A row's decisions do not depend on which other rows share the batch.  They
         match ``run`` on that row, the levels to rounding: the batched payout
         sum adds its terms in another order.
         """
@@ -412,7 +413,7 @@ class AlphaInvesting(OnlineProcedure):
             r = pt[t] <= a
             alphas[t], rejected[t] = a, r
             wealth = np.where(r, wealth + self.alpha, wealth - pen)
-        return alphas, alphas, rejected, rejected
+        return alphas, alphas.copy(), rejected, rejected.copy()
 
 
 def make_procedure(

@@ -54,7 +54,11 @@ class DecisionRecord:
 
 @dataclass
 class StreamTrace:
-    """Array-backed record of a full run (one entry per step, t = 1..T)."""
+    """Array-backed record of a full run (one entry per step, t = 1..T).
+
+    ``run_batch`` fills (B, T) arrays instead, one row per stream; ``len``
+    counts the steps T in both forms.
+    """
 
     pvalues: np.ndarray
     alpha: np.ndarray
@@ -63,7 +67,7 @@ class StreamTrace:
     candidate: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pvalues)
+        return self.pvalues.shape[-1]
 
 
 @dataclass(frozen=True)

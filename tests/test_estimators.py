@@ -14,6 +14,8 @@ from onlinefdr.estimators import (
     fdp_oracle,
     mfdr,
 )
+from onlinefdr.gamma import from_spec
+from onlinefdr.procedures import PROCEDURE_NAMES, make_procedure
 from onlinefdr.records import StreamTrace, TrialResult
 
 
@@ -117,6 +119,29 @@ def test_oracle_length_mismatch():
     recs = records_from([0.5], [0.01])
     with pytest.raises(ValueError):
         fdp_oracle(recs, [True, False])
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_estimators_refuse_a_batched_trace(name):
+    # run_batch's (B, T) arrays: one cumulative sum would run on across rows
+    pvalues = np.random.default_rng(3).random((3, 40)) ** 4
+    proc = make_procedure(name, 0.05, 0.025, from_spec("power:1.6"))
+    batch = proc.run_batch(pvalues)
+    assert len(batch) == 40
+    assert not np.shares_memory(batch.alpha, batch.lam)
+    assert not np.shares_memory(batch.rejected, batch.candidate)
+    for estimator in (fdp_hat_lord, fdp_hat_saffron):
+        with pytest.raises(ValueError, match="one stream"):
+            estimator(batch)
+    with pytest.raises(ValueError, match="one stream"):
+        fdp_oracle(batch, np.ones((3, 40), dtype=bool))
+    # one row at a time reads as the trace run returns for that stream
+    for i in range(3):
+        row = StreamTrace(batch.pvalues[i], batch.alpha[i], batch.lam[i],
+                          batch.rejected[i], batch.candidate[i])
+        alone = make_procedure(name, 0.05, 0.025, from_spec("power:1.6")).run(pvalues[i])
+        np.testing.assert_allclose(fdp_hat_lord(row), fdp_hat_lord(alone), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fdp_hat_saffron(row), fdp_hat_saffron(alone), rtol=1e-12, atol=0)
 
 
 def test_aggregate_single_trial():
