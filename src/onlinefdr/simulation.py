@@ -11,9 +11,9 @@ per-trial generator is ``numpy.random.default_rng([seed, trial_index])``,
 i.e. a SeedSequence keyed on both integers.  ``sweep`` draws each trial's
 stream from its own generator, then stacks the trials of every cell that
 shares a procedure and a stream length into batches, each decided by one
-``run_batch`` call in lockstep over t (streams longer than 16 000 steps go
-one at a time through ``run``).  A trial's decisions do not depend on the
-batch it lands in, and the sweep output is identical for any worker count.
+``run_batch`` call in lockstep over t (a batch of fewer than 16 trials goes
+one trial at a time through ``run``).  A trial's decisions do not depend on
+the batch it lands in, and the sweep output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ _BATCH_TRIAL_STEPS = 256_000
 
 # With fewer rows than this, run_batch decides a batch more slowly than run()
 # decides its trials one at a time: on 2 vCPUs the crossover was 8 rows at
-# T = 1000 and 16 at T = 8000.  Streams so long that fewer rows fit the
-# budget (T > 16 000) are therefore decided one at a time; whether a trial is
-# batched depends only on its T.
+# T = 1000 and 16 at T = 8000.  Smaller batches, such as a cell of a few
+# trials or any batch of streams longer than 16 000 steps, are therefore
+# decided one trial at a time.
 _MIN_BATCH_ROWS = 16
 
 # A batch segment: (index of the cell in the sweep, first trial, end trial).
@@ -212,14 +212,14 @@ def _plan_batches(configs: Sequence[SimConfig]) -> list[list[_Segment]]:
 
 def _batch_results(segments: Sequence[tuple[SimConfig, int, int]]) -> list[TrialResult]:
     """Generate each trial's stream, then decide them all: one run_batch call,
-    or one run per trial for streams too long to batch."""
+    or one run per trial for a batch of fewer than ``_MIN_BATCH_ROWS`` trials."""
     streams = [
         generate_stream(cfg.model, trial_rng(cfg.seed, i))
         for cfg, lo, hi in segments
         for i in range(lo, hi)
     ]
-    spec, T = segments[0][0].procedure, segments[0][0].model.T
-    if _BATCH_TRIAL_STEPS // T >= _MIN_BATCH_ROWS:
+    spec = segments[0][0].procedure
+    if len(streams) >= _MIN_BATCH_ROWS:
         decisions = spec.build().run_batch(np.array([p for p, _ in streams])).rejected
     else:
         decisions = [spec.build().run(p).rejected for p, _ in streams]
@@ -258,8 +258,8 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
     The trials of all cells that share a procedure and a stream length are
     decided together, in batches of at most ``_BATCH_TRIAL_STEPS`` trial-steps
     that may span cells; the batches do not depend on ``jobs``.  Each batch
-    is one ``run_batch`` call, except that streams longer than 16 000 steps
-    are decided one at a time by ``run`` (see ``_MIN_BATCH_ROWS``).  Each
+    is one ``run_batch`` call, except that a batch of fewer than 16 trials
+    is decided one trial at a time by ``run`` (see ``_MIN_BATCH_ROWS``).  Each
     worker takes one batch at a time, and at most one worker per batch is
     started: the pool forks all its workers at the first submit.
     ``scipy.special`` is imported before the fork, so that the workers

@@ -116,11 +116,13 @@ def trial_results(cfg):
 def test_single_step_trial_is_well_defined():
     cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.0, T=1), trials=1)
     row = run_cell(cfg)
+    (result,) = simulation._batch_results([(cfg, 0, 1)])
     trace, _ = trial_trace(cfg, 0)
     assert len(trace) == 1
     if not trace.rejected[0]:
-        assert row.fdr == 0.0
-    assert row.power == 0.0  # no non-nulls at pi1 = 0
+        assert row.fdr == result.fdp == 0.0
+        assert result.rejections == 0
+    assert row.power == result.power == 0.0  # no non-nulls at pi1 = 0
 
 
 def test_run_cell_is_deterministic():
@@ -150,6 +152,11 @@ def test_run_cell_metrics_match_trace_recount():
     trace, is_null = trial_trace(cfg, 0)
     assert row.fdr == pytest.approx(fdp_from_flags(trace.rejected, is_null))
     assert row.power == pytest.approx(power_from_flags(trace.rejected, is_null))
+    # one trial is decided by run, a batch of MIN_BATCH_ROWS by run_batch
+    for trials in (1, simulation._MIN_BATCH_ROWS):
+        results = simulation._batch_results([(cfg, 0, trials)])
+        assert results == trial_results(replace(cfg, trials=trials))
+        assert results[0].rejections == sum(trace.rejected)
 
 
 def test_single_cell_sweep_equals_aggregate():
@@ -240,19 +247,24 @@ def test_sweep_rows_do_not_depend_on_batch_boundaries(monkeypatch):
         assert sweep(cfgs, jobs=3) == whole, cap
 
 
-def test_only_streams_too_long_to_batch_go_one_at_a_time(monkeypatch):
+def test_only_batches_too_small_to_pay_go_one_at_a_time(monkeypatch):
     calls = []
     run, run_batch = simulation.OnlineProcedure.run, simulation.OnlineProcedure.run_batch
     monkeypatch.setattr(simulation.OnlineProcedure, "run",
                         lambda self, p: calls.append("run") or run(self, p))
     monkeypatch.setattr(simulation.OnlineProcedure, "run_batch",
                         lambda self, p: calls.append("run_batch") or run_batch(self, p))
-    monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 16 * 100)
-    sweep([base_config(trials=3)])  # T = 100: a batch of 3 rows, still batched
+    assert simulation._MIN_BATCH_ROWS == 16
+    sweep([base_config(trials=16)])
     assert calls == ["run_batch"]
     calls.clear()
-    sweep([base_config(model=DataModel(GaussianMean(3.0), pi1=0.5, T=101), trials=3)])
-    assert calls == ["run"] * 3
+    sweep([base_config(trials=15)])
+    assert calls == ["run"] * 15
+    calls.clear()
+    # a cap of 17 rows cuts 20 trials into a batch of 17 and one of 3
+    monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 17 * 100)
+    sweep([base_config(trials=20)])
+    assert calls == ["run_batch"] + ["run"] * 3
 
 
 def aggregate_row(cfg):
