@@ -25,7 +25,6 @@ from .procedures import (
     ProtocolError,
     Saffron,
     make_procedure,
-    saffron_ai,
 )
 from .records import (
     DecisionRecord,

@@ -1,8 +1,9 @@
 """Running FDP estimators and across-trial error metrics.
 
-The three estimators read the :class:`StreamTrace` of one stream (1-D arrays,
-as ``run`` returns) and return one float64 array with the value after each
-step t = 1..T.  They share the denominator max(|R(t)|, 1):
+The three estimators read the :class:`StreamTrace` of one stream, as ``run``
+returns it and as ``run_batch`` returns one per row, and return one float64
+array with the value after each step t = 1..T.  They share the denominator
+max(|R(t)|, 1):
 
 * oracle: sums the levels spent on truly null steps (needs labels);
 * naive:  sums every level, an upper bound on the oracle;
@@ -24,21 +25,12 @@ import numpy as np
 from .records import StreamTrace, TrialResult
 
 
-def _one_stream(trace: StreamTrace) -> StreamTrace:
-    if trace.alpha.ndim != 1:
-        raise ValueError(
-            f"estimators read one stream, got a trace of shape {trace.alpha.shape}"
-        )
-    return trace
-
-
 def _over_rejections(numerators: np.ndarray, rejected: np.ndarray) -> np.ndarray:
     return np.cumsum(numerators) / np.maximum(np.cumsum(rejected), 1)
 
 
 def fdp_oracle(trace: StreamTrace, is_null: Sequence[bool]) -> np.ndarray:
     """Levels spent on truly null steps over rejections (simulation only)."""
-    trace = _one_stream(trace)
     null = np.asarray(is_null, dtype=bool)
     if null.shape != trace.alpha.shape:
         raise ValueError(
@@ -49,7 +41,6 @@ def fdp_oracle(trace: StreamTrace, is_null: Sequence[bool]) -> np.ndarray:
 
 def fdp_hat_lord(trace: StreamTrace) -> np.ndarray:
     """All levels spent, over rejections; dominates the oracle pointwise."""
-    trace = _one_stream(trace)
     return _over_rejections(trace.alpha, trace.rejected)
 
 
@@ -59,7 +50,6 @@ def fdp_hat_saffron(trace: StreamTrace) -> np.ndarray:
     Non-candidate steps contribute alpha_j / (1 - lambda_j); candidates
     contribute nothing.
     """
-    trace = _one_stream(trace)
     contrib = np.where(trace.pvalues > trace.lam, trace.alpha / (1.0 - trace.lam), 0.0)
     return _over_rejections(contrib, trace.rejected)
 

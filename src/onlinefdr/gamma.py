@@ -8,7 +8,7 @@ that sums to one.  The constructors here build the three standard families:
 * ``log_optimal()``:     gamma_j proportional to log(max(j,2)) / (j * exp(sqrt(log j)))
 * ``beta_optimal(m)``:   gamma_j proportional to (log(max(j,2)) / j)**(1/m), 0 < m < 1
 
-Normalization is numeric: the first ``truncation`` (1e5) raw weights plus the
+Normalization is numeric: the first 1e5 raw weights (``_TRUNCATION``) plus the
 Euler-Maclaurin tail ``int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12``, with each
 family's analytic integral and derivative, summed in one ``math.fsum``.  For
 the power law this is ``zeta(s)`` to within an ulp or so; a build takes a few
@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-DEFAULT_TRUNCATION = 100_000
+# The normalizer sums this many raw weights, then adds the tail estimate.
+_TRUNCATION = 100_000
 
 # Raw weights must stay positive at least this far out: a float64 weight
 # that underflows is zero from there on.
@@ -47,23 +48,19 @@ class GammaSequence:
         raw: Callable[[np.ndarray], np.ndarray],
         tail_integral: Callable[[float], float],
         slope: Callable[[float], float],
-        truncation: int = DEFAULT_TRUNCATION,
     ):
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
         # Raw weights only decrease, so a zero here means gamma_j = 0 from
         # some j on: the sequence would not be positive.
-        probe = max(truncation, _POSITIVE_THROUGH)
-        if not float(raw(np.array([float(probe)]))[0]) > 0.0:
+        if not float(raw(np.array([float(_POSITIVE_THROUGH)]))[0]) > 0.0:
             raise ValueError(
-                f"raw weights for {spec!r} underflow to zero by index {probe}; "
+                f"raw weights for {spec!r} underflow to zero by index {_POSITIVE_THROUGH}; "
                 f"the sequence would not be positive"
             )
         self._spec = spec
         self._raw = raw
         self._lock = threading.Lock()
 
-        head = raw(np.arange(1, truncation + 1, dtype=np.float64))
+        head = raw(np.arange(1, _TRUNCATION + 1, dtype=np.float64))
         f_last = float(head[-1])
         np.minimum.accumulate(head, out=head)
         # The tail estimate assumes the raw weights are already non-increasing
@@ -74,7 +71,7 @@ class GammaSequence:
                 f"truncation point; tail estimate would be invalid"
             )
         # Euler-Maclaurin: sum_{j>N} f(j) ~ int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12.
-        x = truncation + 1.0
+        x = _TRUNCATION + 1.0
         f_next = float(raw(np.array([x]))[0])
         self._normalizer = math.fsum(
             [*head.tolist(), tail_integral(x), 0.5 * f_next, -slope(x) / 12.0]
@@ -134,7 +131,7 @@ class GammaSequence:
         return f"GammaSequence({self._spec!r})"
 
 
-def power_law(s: float, truncation: int = DEFAULT_TRUNCATION) -> GammaSequence:
+def power_law(s: float) -> GammaSequence:
     """gamma_j proportional to j**-s.  Requires s > 1 for summability."""
     if not s > 1:
         raise ValueError(f"power-law exponent must be > 1, got {s}")
@@ -149,10 +146,10 @@ def power_law(s: float, truncation: int = DEFAULT_TRUNCATION) -> GammaSequence:
     def slope(x: float) -> float:
         return -s * x ** (-s - 1.0)
 
-    return GammaSequence(f"power:{s!r}", raw, tail, slope, truncation)
+    return GammaSequence(f"power:{s!r}", raw, tail, slope)
 
 
-def log_optimal(truncation: int = DEFAULT_TRUNCATION) -> GammaSequence:
+def log_optimal() -> GammaSequence:
     """gamma_j proportional to log(max(j,2)) / (j * exp(sqrt(log j)))."""
 
     def raw(j: np.ndarray) -> np.ndarray:
@@ -169,10 +166,10 @@ def log_optimal(truncation: int = DEFAULT_TRUNCATION) -> GammaSequence:
         f = lx / (x * math.exp(math.sqrt(lx)))
         return f * (1.0 / (x * lx) - 1.0 / x - 0.5 / (x * math.sqrt(lx)))
 
-    return GammaSequence("log-optimal", raw, tail, slope, truncation)
+    return GammaSequence("log-optimal", raw, tail, slope)
 
 
-def beta_optimal(m: float, truncation: int = DEFAULT_TRUNCATION) -> GammaSequence:
+def beta_optimal(m: float) -> GammaSequence:
     """gamma_j proportional to (log(max(j,2)) / j)**(1/m).  Requires 0 < m < 1."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"beta-optimal shape must lie in (0, 1), got {m}")
@@ -200,7 +197,7 @@ def beta_optimal(m: float, truncation: int = DEFAULT_TRUNCATION) -> GammaSequenc
         lx = math.log(x)
         return (lx / x) ** q * q * (1.0 / (x * lx) - 1.0 / x)
 
-    return GammaSequence(f"beta:{m!r}", raw, tail, slope, truncation)
+    return GammaSequence(f"beta:{m!r}", raw, tail, slope)
 
 
 def canonical_spec(spec: str) -> str:
@@ -234,15 +231,15 @@ def canonical_spec(spec: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _from_canonical(spec: str, truncation: int) -> GammaSequence:
+def _from_canonical(spec: str) -> GammaSequence:
     name, _, arg = spec.partition(":")
     if name == "power":
-        return power_law(float(arg), truncation)
+        return power_law(float(arg))
     if name == "log-optimal":
-        return log_optimal(truncation)
-    return beta_optimal(float(arg), truncation)
+        return log_optimal()
+    return beta_optimal(float(arg))
 
 
-def from_spec(spec: str, truncation: int = DEFAULT_TRUNCATION) -> GammaSequence:
+def from_spec(spec: str) -> GammaSequence:
     """Build (and cache) a sequence from its text form, e.g. ``power:1.6``."""
-    return _from_canonical(canonical_spec(spec), truncation)
+    return _from_canonical(canonical_spec(spec))

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .records import validate_pvalues
+
 # Each side of the step-up comparison is off its exact value by at most two
 # roundings; past this gap the float comparison agrees with the exact one.
 _NEAR_ULPS = 8 * np.finfo(np.float64).eps
@@ -30,12 +32,9 @@ class OfflineResult:
 
 
 def _validated(pvalues: Sequence[float]) -> np.ndarray:
-    p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim != 1 or len(p) < 1:
-        raise ValueError("need a one-dimensional batch of at least one p-value")
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        bad = int(np.argmax(~((p >= 0.0) & (p <= 1.0))))
-        raise ValueError(f"p-value out of [0, 1] at position {bad}: {p[bad]}")
+    p = validate_pvalues(pvalues, 1)
+    if not len(p):
+        raise ValueError("need at least one p-value")
     return p
 
 
@@ -70,12 +69,15 @@ def bh(pvalues: Sequence[float], alpha: float) -> OfflineResult:
     return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))
 
 
-def storey_pi0(pvalues: Sequence[float], lam: float) -> float:
-    """Estimated fraction of true nulls: (1 + #{P_i > lam}) / (n * (1 - lam))."""
+def _pi0(p: np.ndarray, lam: float) -> float:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    p = _validated(pvalues)
     return float((1 + (p > lam).sum()) / (len(p) * (1.0 - lam)))
+
+
+def storey_pi0(pvalues: Sequence[float], lam: float) -> float:
+    """Estimated fraction of true nulls: (1 + #{P_i > lam}) / (n * (1 - lam))."""
+    return _pi0(_validated(pvalues), lam)
 
 
 def storey_bh(pvalues: Sequence[float], alpha: float, lam: float = 0.5) -> OfflineResult:
@@ -83,6 +85,5 @@ def storey_bh(pvalues: Sequence[float], alpha: float, lam: float = 0.5) -> Offli
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     p = _validated(pvalues)
-    pi0 = storey_pi0(pvalues, lam)
-    s = _best_threshold(p, alpha, scale=pi0)
+    s = _best_threshold(p, alpha, scale=_pi0(p, lam))
     return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))

@@ -6,8 +6,8 @@ computed from past rejections and candidacies only, and ``observe(p)`` commits
 the p-value, returning a :class:`DecisionRecord` and advancing the state.
 ``step(p)`` fuses the two; ``run(pvalues)`` streams a whole array through and
 returns a :class:`StreamTrace`.  ``run_batch(pvalues)`` decides every row of a
-(B, T) matrix as a stream of its own, all rows in lockstep over t, which is
-how the simulation harness runs its trials.
+(B, T) matrix as a stream of its own, all rows in lockstep over t, and returns
+one such trace per row, which is how the simulation harness runs its trials.
 
 Implemented procedures:
 
@@ -15,7 +15,7 @@ Implemented procedures:
   Wealth is only spent on non-candidate tests, and every rejection after the
   first earns (1 - lambda) * alpha back.
 * :class:`AdaptiveSaffron` -- lambda_t = alpha_t = s_t / (1 + s_t), the
-  monotone alpha-investing variant built by :func:`saffron_ai`.
+  monotone alpha-investing variant (``saffron-ai``).
 * :class:`Lord` -- the non-adaptive special case: wealth is spent at every
   step and the payout schedule is indexed by time since each rejection.
 * :class:`AlphaInvesting` -- the classic (non-monotone) wealth machine that
@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gamma import GammaSequence
-from .records import DecisionRecord, StreamTrace, validate_pvalue
+from .records import DecisionRecord, StreamTrace, validate_pvalue, validate_pvalues
 
 
 class ProtocolError(RuntimeError):
@@ -68,18 +68,6 @@ def investing_level(s):
     float or an array.
     """
     return s / (1.0 + s)
-
-
-def _as_pvalues(pvalues, ndim: int) -> np.ndarray:
-    pv = np.asarray(pvalues, dtype=np.float64)
-    if pv.ndim != ndim:
-        raise ValueError(f"p-values must form a {ndim}-dimensional array, got {pv.ndim}")
-    ok = (pv >= 0.0) & (pv <= 1.0)
-    if not ok.all():
-        bad = np.unravel_index(int(np.argmax(~ok)), pv.shape)
-        where = int(bad[0]) if ndim == 1 else tuple(map(int, bad))
-        raise ValueError(f"p-value out of [0, 1] at position {where}: {pv[bad]}")
-    return pv
 
 
 class OnlineProcedure:
@@ -142,7 +130,7 @@ class OnlineProcedure:
 
     def run(self, pvalues: Sequence[float] | np.ndarray) -> StreamTrace:
         """Stream an array of p-values through the procedure."""
-        pv = _as_pvalues(pvalues, 1)
+        pv = validate_pvalues(pvalues, 1)
         n = len(pv)
         alphas = np.empty(n)
         lams = np.empty(n)
@@ -160,25 +148,28 @@ class OnlineProcedure:
             self._commit(r, c)
         return StreamTrace(pv, alphas, lams, rejected, candidate)
 
-    def run_batch(self, pvalues: np.ndarray) -> StreamTrace:
+    def run_batch(self, pvalues: np.ndarray) -> list[StreamTrace]:
         """Decide each row of a (B, T) p-value matrix as a stream of its own.
 
         All rows start from the procedure's initial state and advance in
         lockstep over t; this machine's own state is neither read nor
-        changed.  Returns a :class:`StreamTrace` of (B, T) arrays, one row
-        per stream; the estimators read one stream at a time and refuse it.
-        A row's decisions do not depend on which other rows share the batch.  They
-        match ``run`` on that row, the levels to rounding: the batched payout
-        sum adds its terms in another order.
+        changed.  Returns one 1-D :class:`StreamTrace` per row, the form
+        ``run`` returns.  A row's decisions do not depend on which other rows
+        share the batch.  They match ``run`` on that row, the levels to
+        rounding: the batched payout sum adds its terms in another order.
         """
-        pv = _as_pvalues(pvalues, 2)
+        pv = validate_pvalues(pvalues, 2)
         alphas, lams, rejected, candidate = self._run_batch(np.ascontiguousarray(pv.T))
-        return StreamTrace(pv, alphas.T, lams.T, rejected.T, candidate.T)
+        return [
+            StreamTrace(pv[i], alphas[:, i], lams[:, i], rejected[:, i], candidate[:, i])
+            for i in range(len(pv))
+        ]
 
     def _run_batch(
         self, pt: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Levels, thresholds and bits as (T, B) arrays for the (T, B) p-values ``pt``."""
+        """Levels, thresholds and bits as four (T, B) arrays, no two sharing
+        memory, for the (T, B) p-values ``pt``."""
         raise NotImplementedError
 
     def load_history(
@@ -346,11 +337,6 @@ class AdaptiveSaffron(_GammaInvesting):
         return a, a
 
 
-def saffron_ai(alpha: float, w0: float, gamma: GammaSequence) -> AdaptiveSaffron:
-    """The monotone alpha-investing rule: lambda_t = alpha_t = s_t / (1 + s_t)."""
-    return AdaptiveSaffron(alpha, w0, gamma)
-
-
 class Lord(_GammaInvesting):
     """Non-adaptive gamma-recycling allocation.
 
@@ -432,7 +418,7 @@ def make_procedure(
     if name == "saffron":
         return Saffron(alpha, w0, gamma, lam)
     if name == "saffron-ai":
-        return saffron_ai(alpha, w0, gamma)
+        return AdaptiveSaffron(alpha, w0, gamma)
     if name == "lord":
         return Lord(alpha, w0, gamma)
     if name == "alpha-investing":

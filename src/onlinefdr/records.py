@@ -1,10 +1,12 @@
 """Shared vocabulary for online testing runs.
 
-P-values are plain floats validated at the boundaries; hypothesis labels are
-plain booleans with the convention ``True`` = truly null (ground truth, known
-only in simulation).  A :class:`DecisionRecord` is what one ``observe`` call
-returns; a :class:`StreamTrace` holds a whole run as arrays, and is the one
-form that the metrics and estimators read.
+P-values are plain floats validated at the boundaries (one at a time by
+:func:`validate_pvalue`, as arrays by :func:`validate_pvalues`); hypothesis
+labels are plain booleans with the convention ``True`` = truly null (ground
+truth, known only in simulation).  A :class:`DecisionRecord` is what one
+``observe`` call returns; a :class:`StreamTrace` holds one stream's whole run
+as 1-D arrays, and is the one form that ``run`` and ``run_batch`` return and
+that the metrics and estimators read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,20 @@ def validate_pvalue(p: float) -> float:
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError(f"p-value must lie in [0, 1], got {p}")
     return p
+
+
+def validate_pvalues(pvalues, ndim: int) -> np.ndarray:
+    """Return the p-values as an ``ndim``-dimensional float64 array, rejecting
+    anything outside [0, 1]; the error names the first bad entry's position."""
+    pv = np.asarray(pvalues, dtype=np.float64)
+    if pv.ndim != ndim:
+        raise ValueError(f"p-values must form a {ndim}-dimensional array, got {pv.ndim}")
+    ok = (pv >= 0.0) & (pv <= 1.0)  # also rejects NaN
+    if not ok.all():
+        bad = np.unravel_index(int(np.argmax(~ok)), pv.shape)
+        where = int(bad[0]) if ndim == 1 else tuple(map(int, bad))
+        raise ValueError(f"p-value out of [0, 1] at position {where}: {pv[bad]}")
+    return pv
 
 
 @dataclass(frozen=True)
@@ -54,11 +70,8 @@ class DecisionRecord:
 
 @dataclass
 class StreamTrace:
-    """Array-backed record of a full run (one entry per step, t = 1..T).
-
-    ``run_batch`` fills (B, T) arrays instead, one row per stream; ``len``
-    counts the steps T in both forms.
-    """
+    """Array-backed record of one stream's full run: 1-D arrays with one
+    entry per step, t = 1..T."""
 
     pvalues: np.ndarray
     alpha: np.ndarray
@@ -67,7 +80,7 @@ class StreamTrace:
     candidate: np.ndarray
 
     def __len__(self) -> int:
-        return self.pvalues.shape[-1]
+        return len(self.pvalues)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ per index, so the realized non-null count varies by trial.
 
 Every trial's randomness is a pure function of (seed, trial_index): the
 per-trial generator is ``numpy.random.default_rng([seed, trial_index])``,
-i.e. a SeedSequence keyed on both integers.  ``sweep`` draws each trial's
-stream from its own generator, then stacks the trials of every cell that
-shares a procedure and a stream length into batches, each decided by one
-``run_batch`` call in lockstep over t (a batch of fewer than 16 trials goes
-one trial at a time through ``run``).  A trial's decisions do not depend on
-the batch it lands in, and the sweep output is identical for any worker count.
+i.e. a SeedSequence keyed on both integers.  ``sweep`` lists the (cell,
+trial) pairs of all cells that share a procedure and a stream length, cuts
+the list into batches, draws each trial's stream from its own generator, and
+decides a batch with one ``run_batch`` call in lockstep over t (a batch of
+fewer than 16 trials goes one trial at a time through ``run``).  Both return
+one trace per trial.  A trial's decisions do not depend on the batch it lands
+in, and the sweep output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import IO, Sequence
 
 import numpy as np
@@ -109,10 +109,17 @@ def generate_stream(model: DataModel, rng: np.random.Generator) -> tuple[np.ndar
     else:
         p = rng.random(T)
         if k:
-            # Beta(m, n) as a ratio of two gamma draws (Marsaglia-Tsang sampler)
+            # Beta(m, n) as a ratio of two gamma draws (Marsaglia-Tsang sampler).
+            # At tiny shapes both draws can be 0.0, and 0/0 is NaN: those
+            # entries are redrawn by numpy's beta sampler, after all other draws.
             x = rng.standard_gamma(model.kind.m, size=k)
             y = rng.standard_gamma(model.kind.n, size=k)
-            p[~is_null] = x / (x + y)
+            with np.errstate(invalid="ignore"):
+                alt = x / (x + y)
+            nan = np.isnan(alt)
+            if nan.any():
+                alt[nan] = rng.beta(model.kind.m, model.kind.n, size=int(nan.sum()))
+            p[~is_null] = alt
     return p, is_null
 
 
@@ -177,59 +184,41 @@ _BATCH_TRIAL_STEPS = 256_000
 # decided one trial at a time.
 _MIN_BATCH_ROWS = 16
 
-# A batch segment: (index of the cell in the sweep, first trial, end trial).
-_Segment = tuple[int, int, int]
 
-
-def _plan_batches(configs: Sequence[SimConfig]) -> list[list[_Segment]]:
-    """Stack the trials of cells that share a (procedure, T) pair into batches.
+def _plan_batches(configs: Sequence[SimConfig]) -> list[list[tuple[int, int]]]:
+    """Cut the (cell index, trial index) keys of each (procedure, T) group into
+    batches of at most ``max(1, _BATCH_TRIAL_STEPS // T)`` keys.
 
     Cells keep their input order and trials their index order, so reading the
     batches in order gives every cell's trials in trial order.
     """
-    groups: dict[tuple[ProcedureSpec, int], list[int]] = {}
+    groups: dict[tuple[ProcedureSpec, int], list[tuple[int, int]]] = {}
     for k, cfg in enumerate(configs):
-        groups.setdefault((cfg.procedure, cfg.model.T), []).append(k)
-    batches: list[list[_Segment]] = []
-    for (_, T), cells in groups.items():
+        keys = groups.setdefault((cfg.procedure, cfg.model.T), [])
+        keys += [(k, i) for i in range(cfg.trials)]
+    batches = []
+    for (_, T), keys in groups.items():
         cap = max(1, _BATCH_TRIAL_STEPS // T)
-        batch: list[_Segment] = []
-        room = cap
-        for k in cells:
-            lo = 0
-            while lo < configs[k].trials:
-                hi = min(configs[k].trials, lo + room)
-                batch.append((k, lo, hi))
-                room -= hi - lo
-                lo = hi
-                if room == 0:
-                    batches.append(batch)
-                    batch, room = [], cap
-        if batch:
-            batches.append(batch)
+        batches += [keys[lo : lo + cap] for lo in range(0, len(keys), cap)]
     return batches
 
 
-def _batch_results(segments: Sequence[tuple[SimConfig, int, int]]) -> list[TrialResult]:
+def _batch_results(trials: Sequence[tuple[SimConfig, int]]) -> list[TrialResult]:
     """Generate each trial's stream, then decide them all: one run_batch call,
     or one run per trial for a batch of fewer than ``_MIN_BATCH_ROWS`` trials."""
-    streams = [
-        generate_stream(cfg.model, trial_rng(cfg.seed, i))
-        for cfg, lo, hi in segments
-        for i in range(lo, hi)
-    ]
-    spec = segments[0][0].procedure
+    streams = [generate_stream(cfg.model, trial_rng(cfg.seed, i)) for cfg, i in trials]
+    spec = trials[0][0].procedure
     if len(streams) >= _MIN_BATCH_ROWS:
-        decisions = spec.build().run_batch(np.array([p for p, _ in streams])).rejected
+        traces = spec.build().run_batch(np.array([p for p, _ in streams]))
     else:
-        decisions = [spec.build().run(p).rejected for p, _ in streams]
+        traces = [spec.build().run(p) for p, _ in streams]
     return [
         TrialResult(
-            fdp=fdp_from_flags(rejected, is_null),
-            power=power_from_flags(rejected, is_null),
-            rejections=int(rejected.sum()),
+            fdp=fdp_from_flags(trace.rejected, is_null),
+            power=power_from_flags(trace.rejected, is_null),
+            rejections=int(trace.rejected.sum()),
         )
-        for rejected, (_, is_null) in zip(decisions, streams)
+        for trace, (_, is_null) in zip(traces, streams)
     ]
 
 
@@ -268,7 +257,7 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
     if not configs:
         raise ValueError("sweep needs at least one configuration")
     batches = _plan_batches(configs)
-    tasks = [[(configs[k], lo, hi) for k, lo, hi in batch] for batch in batches]
+    tasks = [[(configs[k], i) for k, i in batch] for batch in batches]
     if jobs <= 1 or len(tasks) == 1:
         results = list(map(_batch_results, tasks))
     else:
@@ -278,9 +267,8 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
             results = list(pool.map(_batch_results, tasks))
     per_cell: list[list[TrialResult]] = [[] for _ in configs]
     for batch, batch_results in zip(batches, results):
-        done = iter(batch_results)
-        for k, lo, hi in batch:
-            per_cell[k] += islice(done, hi - lo)
+        for (k, _), result in zip(batch, batch_results):
+            per_cell[k].append(result)
     rows = []
     for cfg, cell in zip(configs, per_cell):
         summary = aggregate(cell)

@@ -18,7 +18,7 @@ import pytest
 
 from onlinefdr import gamma as G
 from onlinefdr.estimators import fdp_hat_lord, fdp_hat_saffron, fdp_oracle
-from onlinefdr.procedures import AlphaInvesting, Lord, Saffron, saffron_ai
+from onlinefdr.procedures import AdaptiveSaffron, AlphaInvesting, Lord, Saffron
 from onlinefdr.offline import bh
 from onlinefdr.records import fdp_from_flags
 from onlinefdr.simulation import (
@@ -160,7 +160,7 @@ def test_criterion_4_monotonicity_exhaustive():
     failures = []
     factories = {
         "saffron": lambda: Saffron(ALPHA, W0, g16, lam=0.5),
-        "saffron-ai": lambda: saffron_ai(ALPHA, W0, g16),
+        "saffron-ai": lambda: AdaptiveSaffron(ALPHA, W0, g16),
     }
     for name, factory in factories.items():
         levels = _levels_for_all_histories(factory, max_len=6)
@@ -184,24 +184,40 @@ CONTROL_T = 200
 CONTROL_SEED = 5150
 
 
+def _lord_overspend(trace):
+    spend = np.cumsum(trace.alpha)
+    return float((spend - ALPHA * np.maximum(np.cumsum(trace.rejected), 1)).max())
+
+
+def _saffron_overshoot(trace):
+    return float(fdp_hat_saffron(trace).max() - ALPHA)
+
+
 def _control_chunk(bounds):
     lo, hi = bounds
     g16 = G.from_spec("power:1.6")
-    worst = {"saffron": -np.inf, "saffron-ai": -np.inf, "lord": -np.inf}
+    streams = np.array([
+        generate_stream(
+            DataModel(GaussianMean(3.0), PI1_CYCLE[i % len(PI1_CYCLE)], CONTROL_T),
+            trial_rng(CONTROL_SEED, i),
+        )[0]
+        for i in range(lo, hi)
+    ])
+    worst = {}
+    for name, factory, excess in (
+        ("saffron", lambda: Saffron(ALPHA, W0, g16, lam=0.5), _saffron_overshoot),
+        ("saffron-ai", lambda: AdaptiveSaffron(ALPHA, W0, g16), _saffron_overshoot),
+        ("lord", lambda: Lord(ALPHA, W0, g16), _lord_overspend),
+    ):
+        # the first chunk goes through scalar run, the others through run_batch
+        if lo == 0:
+            traces = [factory().run(pvalues) for pvalues in streams]
+        else:
+            traces = factory().run_batch(streams)
+        worst[name] = max(map(excess, traces))
+    # the wealth is read after every step, which neither run nor run_batch returns
     min_wealth = np.inf
-    for i in range(lo, hi):
-        model = DataModel(GaussianMean(3.0), PI1_CYCLE[i % len(PI1_CYCLE)], CONTROL_T)
-        pvalues, _ = generate_stream(model, trial_rng(CONTROL_SEED, i))
-        for name, proc in (
-            ("saffron", Saffron(ALPHA, W0, g16, lam=0.5)),
-            ("saffron-ai", saffron_ai(ALPHA, W0, g16)),
-        ):
-            trace = proc.run(pvalues)
-            worst[name] = max(worst[name], fdp_hat_saffron(trace).max() - ALPHA)
-        trace = Lord(ALPHA, W0, g16).run(pvalues)
-        spend = np.cumsum(trace.alpha)
-        budget = ALPHA * np.maximum(np.cumsum(trace.rejected), 1)
-        worst["lord"] = max(worst["lord"], float((spend - budget).max()))
+    for pvalues in streams:
         invest = AlphaInvesting(ALPHA, g16)
         for p in pvalues.tolist():
             invest.step(p)
@@ -235,7 +251,7 @@ def test_criterion_6_investing_equivalence_identity():
     for i in range(200):
         model = DataModel(GaussianMean(3.0), PI1_CYCLE[i % len(PI1_CYCLE)], CONTROL_T)
         pvalues, _ = generate_stream(model, trial_rng(99, i))
-        trace = saffron_ai(ALPHA, W0, g16).run(pvalues)
+        trace = AdaptiveSaffron(ALPHA, W0, g16).run(pvalues)
         numerator = np.cumsum(
             np.where(trace.pvalues > trace.lam, trace.alpha / (1.0 - trace.lam), 0.0)
         )
@@ -293,7 +309,7 @@ def test_criterion_8_oracle_dominance_pointwise():
     ]
     procedures = (
         lambda: Saffron(ALPHA, W0, g16, lam=0.5),
-        lambda: saffron_ai(ALPHA, W0, g16),
+        lambda: AdaptiveSaffron(ALPHA, W0, g16),
         lambda: Lord(ALPHA, W0, g16),
         lambda: AlphaInvesting(ALPHA, g16),
     )

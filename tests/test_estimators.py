@@ -1,5 +1,6 @@
 """FDP estimator traces and across-trial aggregation."""
 
+import itertools
 import statistics
 
 import numpy as np
@@ -122,24 +123,22 @@ def test_oracle_length_mismatch():
 
 
 @pytest.mark.parametrize("name", PROCEDURE_NAMES)
-def test_estimators_refuse_a_batched_trace(name):
-    # run_batch's (B, T) arrays: one cumulative sum would run on across rows
+def test_estimators_read_batched_traces_as_run_traces(name):
     pvalues = np.random.default_rng(3).random((3, 40)) ** 4
+    is_null = np.random.default_rng(4).random(40) < 0.5
     proc = make_procedure(name, 0.05, 0.025, from_spec("power:1.6"))
     batch = proc.run_batch(pvalues)
-    assert len(batch) == 40
-    assert not np.shares_memory(batch.alpha, batch.lam)
-    assert not np.shares_memory(batch.rejected, batch.candidate)
-    for estimator in (fdp_hat_lord, fdp_hat_saffron):
-        with pytest.raises(ValueError, match="one stream"):
-            estimator(batch)
-    with pytest.raises(ValueError, match="one stream"):
-        fdp_oracle(batch, np.ones((3, 40), dtype=bool))
-    # one row at a time reads as the trace run returns for that stream
-    for i in range(3):
-        row = StreamTrace(batch.pvalues[i], batch.alpha[i], batch.lam[i],
-                          batch.rejected[i], batch.candidate[i])
+    assert len(batch) == 3
+    for i, row in enumerate(batch):
+        fields = [row.pvalues, row.alpha, row.lam, row.rejected, row.candidate]
+        assert [f.shape for f in fields] == [(40,)] * 5
+        assert len(row) == 40
+        for a, b in itertools.combinations(fields, 2):
+            assert not np.shares_memory(a, b)
         alone = make_procedure(name, 0.05, 0.025, from_spec("power:1.6")).run(pvalues[i])
+        np.testing.assert_allclose(
+            fdp_oracle(row, is_null), fdp_oracle(alone, is_null), rtol=1e-12, atol=0
+        )
         np.testing.assert_allclose(fdp_hat_lord(row), fdp_hat_lord(alone), rtol=1e-12, atol=0)
         np.testing.assert_allclose(fdp_hat_saffron(row), fdp_hat_saffron(alone), rtol=1e-12, atol=0)
 

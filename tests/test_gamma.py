@@ -80,11 +80,6 @@ def test_log_optimal_first_value_and_ratio(logopt):
     assert logopt[1] / logopt[2] == pytest.approx(2.0 * math.exp(math.sqrt(math.log(2))), rel=1e-12)
 
 
-def test_log_optimal_normalizer_stable_under_longer_truncation():
-    short = G.log_optimal(truncation=10**6)
-    assert short.normalizer == pytest.approx(NORMALIZER_LOG_OPTIMAL, rel=1e-9)
-
-
 def test_beta_normalizer_matches_zeta_derivative_identity(beta05):
     # raw total = (log 2)^2 + zeta''(2); the running-minimum repair then
     # subtracts the j=3 excess (log3/3)^2 - (log2/2)^2

@@ -66,13 +66,13 @@ def test_batched_decisions_match_golden(name, golden):
     for (gamma, w0, T), members in groups.items():
         proc = make_procedure(name, meta["alpha"], w0, from_spec(gamma), meta["lam"])
         pvalues = [make_golden.pvalues(table[k]["seed"], T, table[k]["pi1"]) for k in members]
-        trace = proc.run_batch(np.array(pvalues))
+        traces = proc.run_batch(np.array(pvalues))
         for row, k in enumerate(members):
             lo, hi = starts[k], starts[k + 1]
-            assert trace.rejected[row].tolist() == want_rej[lo:hi].tolist(), table[k]
-            assert trace.candidate[row].tolist() == want_cand[lo:hi].tolist(), table[k]
+            assert traces[row].rejected.tolist() == want_rej[lo:hi].tolist(), table[k]
+            assert traces[row].candidate.tolist() == want_cand[lo:hi].tolist(), table[k]
             np.testing.assert_allclose(
-                trace.alpha[row], want_alpha[lo:hi], rtol=1e-12, atol=0, err_msg=str(table[k])
+                traces[row].alpha, want_alpha[lo:hi], rtol=1e-12, atol=0, err_msg=str(table[k])
             )
-            expected_lam = meta["lam"] if name == "saffron" else trace.alpha[row]
-            assert (trace.lam[row] == expected_lam).all(), table[k]
+            expected_lam = meta["lam"] if name == "saffron" else traces[row].alpha
+            assert (traces[row].lam == expected_lam).all(), table[k]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinefdr import gamma as G
-from onlinefdr.procedures import Lord, Saffron, saffron_ai
+from onlinefdr.procedures import AdaptiveSaffron, Lord, Saffron
 import replay_oracle as oracle
 
 ALPHA = 0.05
@@ -31,7 +31,7 @@ def build(name, w0, gam):
     if name == "saffron":
         return Saffron(ALPHA, w0, gam, LAM)
     if name == "saffron-ai":
-        return saffron_ai(ALPHA, w0, gam)
+        return AdaptiveSaffron(ALPHA, w0, gam)
     return Lord(ALPHA, w0, gam)
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from onlinefdr import gamma as G
 from onlinefdr.procedures import (
     PROCEDURE_NAMES,
+    AdaptiveSaffron,
     AlphaInvesting,
     Lord,
     ProtocolError,
     Saffron,
     make_procedure,
-    saffron_ai,
 )
 import replay_oracle as oracle
 
@@ -150,7 +150,7 @@ def test_saffron_alpha_at_most_lambda(pvalues, g16):
 
 
 def test_saffron_ai_first_level_frozen(g2):
-    proc = saffron_ai(ALPHA, W0, g2)
+    proc = AdaptiveSaffron(ALPHA, W0, g2)
     a, lam = proc.next_level()
     assert a == lam == pytest.approx(SAFFRON_AI_ALPHA1, abs=1e-15)
     # the inversion of x / (1 - x) at the initial payout w0 * gamma_1
@@ -159,7 +159,7 @@ def test_saffron_ai_first_level_frozen(g2):
 
 
 def test_saffron_ai_lambda_equals_alpha_exactly(g16):
-    proc = saffron_ai(ALPHA, W0, g16)
+    proc = AdaptiveSaffron(ALPHA, W0, g16)
     rng = np.random.default_rng(5)
     for p in rng.random(200):
         a, lam = proc.next_level()
@@ -170,7 +170,7 @@ def test_saffron_ai_lambda_equals_alpha_exactly(g16):
 @settings(max_examples=100, deadline=None)
 @given(pvalues=pvalue_stream)
 def test_saffron_ai_random_streams_match_replay_oracle(pvalues, g16):
-    proc = saffron_ai(ALPHA, W0, g16)
+    proc = AdaptiveSaffron(ALPHA, W0, g16)
     R, C = [], []
     for p in pvalues:
         a, _ = proc.next_level()
@@ -312,17 +312,21 @@ def test_run_batch_rows_do_not_depend_on_the_batch(name, g16):
     pvalues = np.where(u[0] < rng.random((150, 1)), u[1] ** 8, u[2])
     proc = make_procedure(name, ALPHA, W0, g16)
     whole = proc.run_batch(pvalues)
+    assert len(whole) == 150
     # alone, and on both sides of a split where a batch would end
-    for rows in (slice(7, 8), slice(100, 101), slice(0, 64), slice(64, 150)):
-        part = proc.run_batch(pvalues[rows])
-        for field in ("alpha", "lam", "rejected", "candidate"):
-            assert np.array_equal(getattr(part, field), getattr(whole, field)[rows]), (rows, field)
+    for lo, hi in ((7, 8), (100, 101), (0, 64), (64, 150)):
+        part = proc.run_batch(pvalues[lo:hi])
+        for i, trace in zip(range(lo, hi), part, strict=True):
+            for field in ("alpha", "lam", "rejected", "candidate"):
+                assert np.array_equal(getattr(trace, field), getattr(whole[i], field)), (i, field)
     assert proc.t == 1  # the machine itself did not move
     for i in (7, 100):
         trace = make_procedure(name, ALPHA, W0, g16).run(pvalues[i])
-        assert trace.rejected.tolist() == whole.rejected[i].tolist()
-        assert trace.candidate.tolist() == whole.candidate[i].tolist()
-        np.testing.assert_allclose(whole.alpha[i], trace.alpha, rtol=1e-12, atol=0)
+        assert whole[i].pvalues.tolist() == trace.pvalues.tolist()
+        assert trace.rejected.tolist() == whole[i].rejected.tolist()
+        assert trace.candidate.tolist() == whole[i].candidate.tolist()
+        np.testing.assert_allclose(whole[i].alpha, trace.alpha, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(whole[i].lam, trace.lam, rtol=1e-12, atol=0)
 
 
 def test_run_equals_stepwise(g16):
@@ -409,7 +413,7 @@ def test_monotonicity_spot_checks(pairs, g16):
     lo_bits = [min(a, b) for a, b in pairs]
     for factory in (
         lambda: Saffron(ALPHA, W0, g16, lam=0.5),
-        lambda: saffron_ai(ALPHA, W0, g16),
+        lambda: AdaptiveSaffron(ALPHA, W0, g16),
     ):
         hi_proc, lo_proc = factory(), factory()
         hi_proc.load_history([r for r, _ in hi_bits], [c for _, c in hi_bits])

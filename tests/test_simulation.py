@@ -75,6 +75,30 @@ def test_beta_model_nulls_are_uniform():
     assert stats.kstest(pvalues[is_null], "uniform").pvalue > 1e-3
 
 
+def test_tiny_beta_shapes_give_no_nan_pvalues():
+    # at shape 1e-3 about half the gamma draws are 0.0, and 0/0 would be NaN
+    model = DataModel(BetaAlternative(0.001, 0.001), pi1=1.0, T=1000)
+    pvalues, _ = generate_stream(model, np.random.default_rng(0))
+    assert ((pvalues >= 0.0) & (pvalues <= 1.0)).all()
+    # Beta(0.001, 0.001) puts almost all its mass at the two ends
+    assert 0.3 < (pvalues < 0.5).mean() < 0.7
+    cfg = base_config(model=DataModel(BetaAlternative(0.001, 0.001), 0.5, 100), trials=2, seed=0)
+    assert run_cell(cfg).trials == 2
+
+
+def test_beta_stream_is_a_ratio_of_two_gamma_draws():
+    # the redraw of 0/0 entries takes no draw from streams that have none
+    model = DataModel(BetaAlternative(0.5, 5.0), pi1=0.4, T=2000)
+    pvalues, is_null = generate_stream(model, trial_rng(42, 3))
+    rng = trial_rng(42, 3)
+    assert (rng.random(2000) >= 0.4).tolist() == is_null.tolist()
+    expected = rng.random(2000)
+    x = rng.standard_gamma(0.5, size=int((~is_null).sum()))
+    y = rng.standard_gamma(5.0, size=int((~is_null).sum()))
+    expected[~is_null] = x / (x + y)
+    assert pvalues.tobytes() == expected.tobytes()
+
+
 def test_label_fraction_tracks_pi1():
     model = DataModel(GaussianMean(2.0), pi1=0.3, T=50_000)
     _, is_null = generate_stream(model, np.random.default_rng(2))
@@ -116,7 +140,7 @@ def trial_results(cfg):
 def test_single_step_trial_is_well_defined():
     cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.0, T=1), trials=1)
     row = run_cell(cfg)
-    (result,) = simulation._batch_results([(cfg, 0, 1)])
+    (result,) = simulation._batch_results([(cfg, 0)])
     trace, _ = trial_trace(cfg, 0)
     assert len(trace) == 1
     if not trace.rejected[0]:
@@ -154,7 +178,7 @@ def test_run_cell_metrics_match_trace_recount():
     assert row.power == pytest.approx(power_from_flags(trace.rejected, is_null))
     # one trial is decided by run, a batch of MIN_BATCH_ROWS by run_batch
     for trials in (1, simulation._MIN_BATCH_ROWS):
-        results = simulation._batch_results([(cfg, 0, trials)])
+        results = simulation._batch_results([(cfg, i) for i in range(trials)])
         assert results == trial_results(replace(cfg, trials=trials))
         assert results[0].rejections == sum(trace.rejected)
 
@@ -226,14 +250,18 @@ def test_sweep_batches_follow_procedure_and_length(monkeypatch):
     base = base_config(trials=5)
     short = replace(base.model, T=50)
     cfgs = grid(base, [0.2, 0.6], TWO_PROCEDURES) + [replace(base, model=short)]
+    trials = range(5)
     assert simulation._plan_batches(cfgs) == [
-        [(0, 0, 5), (1, 0, 5)],
-        [(2, 0, 5), (3, 0, 5)],
-        [(4, 0, 5)],
+        [(0, i) for i in trials] + [(1, i) for i in trials],
+        [(2, i) for i in trials] + [(3, i) for i in trials],
+        [(4, i) for i in trials],
     ]
     # a cap of 7 trials at T = 100 splits the second cell's trials across batches
     monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 7 * 100)
-    assert simulation._plan_batches(cfgs[:2]) == [[(0, 0, 5), (1, 0, 2)], [(1, 2, 5)]]
+    assert simulation._plan_batches(cfgs[:2]) == [
+        [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)],
+        [(1, 2), (1, 3), (1, 4)],
+    ]
 
 
 def test_sweep_rows_do_not_depend_on_batch_boundaries(monkeypatch):
