@@ -129,8 +129,8 @@ class OnlineProcedure:
         self._pending = None
 
     def run(self, pvalues: Sequence[float] | np.ndarray) -> StreamTrace:
-        """Stream an array of p-values through the procedure."""
-        pv = validate_pvalues(pvalues, 1)
+        """Stream an array of p-values through the procedure; the trace keeps a copy."""
+        pv = validate_pvalues(pvalues, 1).copy()
         n = len(pv)
         alphas = np.empty(n)
         lams = np.empty(n)
@@ -157,12 +157,13 @@ class OnlineProcedure:
         ``run`` returns.  A row's decisions do not depend on which other rows
         share the batch.  They match ``run`` on that row, the levels to
         rounding: the batched payout sum adds its terms in another order.
+        The traces read their p-values from the kernel's own (T, B) copy.
         """
-        pv = validate_pvalues(pvalues, 2)
-        alphas, lams, rejected, candidate = self._run_batch(np.ascontiguousarray(pv.T))
+        pt = np.array(validate_pvalues(pvalues, 2).T, order="C")
+        alphas, lams, rejected, candidate = self._run_batch(pt)
         return [
-            StreamTrace(pv[i], alphas[:, i], lams[:, i], rejected[:, i], candidate[:, i])
-            for i in range(len(pv))
+            StreamTrace(pt[:, i], alphas[:, i], lams[:, i], rejected[:, i], candidate[:, i])
+            for i in range(pt.shape[1])
         ]
 
     def _run_batch(
@@ -402,6 +403,16 @@ class AlphaInvesting(OnlineProcedure):
         return alphas, alphas.copy(), rejected, rejected.copy()
 
 
+_CONSTRUCTORS = {
+    "saffron": Saffron,
+    "saffron-ai": lambda alpha, w0, gamma, lam: AdaptiveSaffron(alpha, w0, gamma),
+    "lord": lambda alpha, w0, gamma, lam: Lord(alpha, w0, gamma),
+    "alpha-investing": lambda alpha, w0, gamma, lam: AlphaInvesting(alpha, gamma),
+}
+
+PROCEDURE_NAMES = tuple(_CONSTRUCTORS)
+
+
 def make_procedure(
     name: str,
     alpha: float,
@@ -409,21 +420,11 @@ def make_procedure(
     gamma: GammaSequence,
     lam: float = 0.5,
 ) -> OnlineProcedure:
-    """Build a procedure by its config name.
+    """Build a procedure by its config name, one of :data:`PROCEDURE_NAMES`.
 
-    Known names: ``saffron``, ``saffron-ai``, ``lord``, ``alpha-investing``.
     ``lam`` applies to saffron only; ``w0`` is ignored by alpha-investing,
     which always starts with wealth alpha.
     """
-    if name == "saffron":
-        return Saffron(alpha, w0, gamma, lam)
-    if name == "saffron-ai":
-        return AdaptiveSaffron(alpha, w0, gamma)
-    if name == "lord":
-        return Lord(alpha, w0, gamma)
-    if name == "alpha-investing":
-        return AlphaInvesting(alpha, gamma)
-    raise ValueError(f"unknown procedure {name!r}")
-
-
-PROCEDURE_NAMES = ("saffron", "saffron-ai", "lord", "alpha-investing")
+    if name not in _CONSTRUCTORS:
+        raise ValueError(f"unknown procedure {name!r}")
+    return _CONSTRUCTORS[name](alpha, w0, gamma, lam)

@@ -215,14 +215,21 @@ def _control_chunk(bounds):
         else:
             traces = factory().run_batch(streams)
         worst[name] = max(map(excess, traces))
-    # the wealth is read after every step, which neither run nor run_batch returns
+    # the first chunk reads the machine's own wealth after every step; the
+    # others the wealth its run_batch trace implies: alpha earned per
+    # rejection, alpha_t / (1 - alpha_t) spent per non-rejection
     min_wealth = np.inf
-    for pvalues in streams:
-        invest = AlphaInvesting(ALPHA, g16)
-        for p in pvalues.tolist():
-            invest.step(p)
-            if invest.wealth < min_wealth:
-                min_wealth = invest.wealth
+    if lo == 0:
+        for pvalues in streams:
+            invest = AlphaInvesting(ALPHA, g16)
+            for p in pvalues.tolist():
+                invest.step(p)
+                if invest.wealth < min_wealth:
+                    min_wealth = invest.wealth
+    else:
+        for trace in AlphaInvesting(ALPHA, g16).run_batch(streams):
+            paid = np.where(trace.rejected, ALPHA, -trace.alpha / (1.0 - trace.alpha))
+            min_wealth = min(min_wealth, float((ALPHA + np.cumsum(paid)).min()))
     return worst, min_wealth
 
 

@@ -124,23 +124,47 @@ def test_oracle_length_mismatch():
 
 @pytest.mark.parametrize("name", PROCEDURE_NAMES)
 def test_estimators_read_batched_traces_as_run_traces(name):
-    pvalues = np.random.default_rng(3).random((3, 40)) ** 4
     is_null = np.random.default_rng(4).random(40) < 0.5
-    proc = make_procedure(name, 0.05, 0.025, from_spec("power:1.6"))
-    batch = proc.run_batch(pvalues)
-    assert len(batch) == 3
-    for i, row in enumerate(batch):
-        fields = [row.pvalues, row.alpha, row.lam, row.rejected, row.candidate]
-        assert [f.shape for f in fields] == [(40,)] * 5
-        assert len(row) == 40
-        for a, b in itertools.combinations(fields, 2):
-            assert not np.shares_memory(a, b)
-        alone = make_procedure(name, 0.05, 0.025, from_spec("power:1.6")).run(pvalues[i])
-        np.testing.assert_allclose(
-            fdp_oracle(row, is_null), fdp_oracle(alone, is_null), rtol=1e-12, atol=0
-        )
-        np.testing.assert_allclose(fdp_hat_lord(row), fdp_hat_lord(alone), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(fdp_hat_saffron(row), fdp_hat_saffron(alone), rtol=1e-12, atol=0)
+    # B > 1, B = 1 (whose transpose is already contiguous) and a Fortran-ordered batch
+    for pvalues in (
+        np.random.default_rng(3).random((3, 40)) ** 4,
+        np.random.default_rng(5).random((1, 40)) ** 4,
+        np.asfortranarray(np.random.default_rng(6).random((3, 40)) ** 4),
+    ):
+        kept = pvalues.copy()
+        proc = make_procedure(name, 0.05, 0.025, from_spec("power:1.6"))
+        batch = proc.run_batch(pvalues)
+        alone = [
+            make_procedure(name, 0.05, 0.025, from_spec("power:1.6")).run(pvalues[i])
+            for i in range(len(pvalues))
+        ]
+        assert len(batch) == len(pvalues)
+        for i, row in enumerate(batch):
+            fields = [row.pvalues, row.alpha, row.lam, row.rejected, row.candidate]
+            assert [f.shape for f in fields] == [(40,)] * 5
+            assert len(row) == 40
+            # no two arrays of a trace, and no array of either trace and the input, share memory
+            for trace in (row, alone[i]):
+                arrays = [trace.pvalues, trace.alpha, trace.lam, trace.rejected, trace.candidate]
+                for a, b in itertools.combinations(arrays + [pvalues], 2):
+                    assert not np.shares_memory(a, b)
+            np.testing.assert_allclose(
+                fdp_oracle(row, is_null), fdp_oracle(alone[i], is_null), rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                fdp_hat_lord(row), fdp_hat_lord(alone[i]), rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                fdp_hat_saffron(row), fdp_hat_saffron(alone[i]), rtol=1e-12, atol=0
+            )
+        # changing the input after the call changes no trace
+        before = [fdp_hat_saffron(trace) for trace in batch + alone]
+        pvalues[:] = 1.0
+        for trace, estimate in zip(batch + alone, before):
+            np.testing.assert_array_equal(fdp_hat_saffron(trace), estimate)
+        for i, row in enumerate(batch):
+            np.testing.assert_array_equal(row.pvalues, kept[i])
+            np.testing.assert_array_equal(alone[i].pvalues, kept[i])
 
 
 def test_aggregate_single_trial():
