@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import StreamTrace, TrialResult
+from .records import StreamTrace, TrialResult, flag_arrays
 
 
 def _over_rejections(numerators: np.ndarray, rejected: np.ndarray) -> np.ndarray:
@@ -31,12 +31,8 @@ def _over_rejections(numerators: np.ndarray, rejected: np.ndarray) -> np.ndarray
 
 def fdp_oracle(trace: StreamTrace, is_null: Sequence[bool]) -> np.ndarray:
     """Levels spent on truly null steps over rejections (simulation only)."""
-    null = np.asarray(is_null, dtype=bool)
-    if null.shape != trace.alpha.shape:
-        raise ValueError(
-            f"length mismatch: {trace.alpha.shape[0]} steps vs {null.shape[0]} labels"
-        )
-    return _over_rejections(trace.alpha * null, trace.rejected)
+    rejected, null = flag_arrays(trace.rejected, is_null)
+    return _over_rejections(trace.alpha * null, rejected)
 
 
 def fdp_hat_lord(trace: StreamTrace) -> np.ndarray:
@@ -50,7 +46,7 @@ def fdp_hat_saffron(trace: StreamTrace) -> np.ndarray:
     Non-candidate steps contribute alpha_j / (1 - lambda_j); candidates
     contribute nothing.
     """
-    contrib = np.where(trace.pvalues > trace.lam, trace.alpha / (1.0 - trace.lam), 0.0)
+    contrib = np.where(trace.candidate, 0.0, trace.alpha / (1.0 - trace.lam))
     return _over_rejections(contrib, trace.rejected)
 
 

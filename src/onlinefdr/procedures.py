@@ -9,6 +9,10 @@ returns a :class:`StreamTrace`.  ``run_batch(pvalues)`` decides every row of a
 (B, T) matrix as a stream of its own, all rows in lockstep over t, and returns
 one such trace per row, which is how the simulation harness runs its trials.
 
+A machine's state is its history: ``next_level()`` only reads it, and
+``load_history(rejected, candidate)`` checks both bit vectors whole before it
+replays them, so a bad history changes nothing, and evaluates no level.
+
 Implemented procedures:
 
 * :class:`Saffron` -- adaptive candidacy with a constant threshold lambda.
@@ -173,27 +177,24 @@ class OnlineProcedure:
         memory, for the (T, B) p-values ``pt``."""
         raise NotImplementedError
 
-    def load_history(
-        self, rejected: Sequence[bool], candidate: Sequence[bool] | None = None
-    ) -> None:
+    def load_history(self, rejected: Sequence[bool], candidate: Sequence[bool]) -> None:
         """Replay a rejection/candidacy history without p-values.
 
-        Useful for computing the level a given history would produce.  If
-        ``candidate`` is omitted it defaults to the rejection bits.  Requires
-        rejected[i] implies candidate[i] at every step.
+        Both bit vectors are required, of equal length, with rejected[i]
+        implying candidate[i].  All of it is checked before any step is
+        replayed, so a bad history changes nothing; the replay evaluates no
+        level and costs O(1) a step.
         """
         if self._pending is not None:
             raise ProtocolError("cannot load history with a step in progress")
-        if candidate is None:
-            candidate = rejected
-        if len(rejected) != len(candidate):
-            raise ValueError("history bit vectors must have equal length")
-        for r, c in zip(rejected, candidate):
-            r, c = bool(r), bool(c)
-            if r and not c:
-                raise ValueError("infeasible history: a rejection must be a candidate")
-            self.next_level()  # wealth-tracking procedures stake the step's penalty here
-            self._commit(r, c)
+        r = np.asarray(rejected, dtype=bool)
+        c = np.asarray(candidate, dtype=bool)
+        if r.ndim != 1 or r.shape != c.shape:
+            raise ValueError(f"need two 1-D bit vectors of one length: {r.shape}, {c.shape}")
+        if (r & ~c).any():
+            raise ValueError("infeasible history: a rejection must be a candidate")
+        for ri, ci in zip(r.tolist(), c.tolist()):
+            self._commit(ri, ci)
 
 
 # The batched payout sums run over a multiple of this many slots.  einsum's
@@ -374,18 +375,16 @@ class AlphaInvesting(OnlineProcedure):
         self.alpha = float(alpha)
         self.gamma = gamma
         self.wealth = self.alpha
-        self._pen = 0.0
 
     def _compute_levels(self) -> tuple[float, float]:
-        self._pen = self.gamma[self._t] * self.wealth
-        a = investing_level(self._pen)
+        a = investing_level(self.gamma[self._t] * self.wealth)
         return a, a
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         if rejected:
             self.wealth += self.alpha
         else:
-            self.wealth -= self._pen
+            self.wealth -= self.gamma[self._t] * self.wealth
 
     def _run_batch(self, pt):
         # The same arithmetic as the scalar machine, a wealth per row.

@@ -96,14 +96,18 @@ class TrialResult:
     rejections: int
 
 
-def fdp_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
-    """False discovery proportion from boolean arrays, 0/0 = 0."""
+def flag_arrays(rejected, is_null) -> tuple[np.ndarray, np.ndarray]:
+    """The decisions and labels as boolean arrays, which must share one shape."""
     rejected = np.asarray(rejected, dtype=bool)
     is_null = np.asarray(is_null, dtype=bool)
     if rejected.shape != is_null.shape:
-        raise ValueError(
-            f"length mismatch: {rejected.shape[0]} decisions vs {is_null.shape[0]} labels"
-        )
+        raise ValueError(f"shape mismatch: decisions {rejected.shape} vs labels {is_null.shape}")
+    return rejected, is_null
+
+
+def fdp_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
+    """False discovery proportion from boolean arrays, 0/0 = 0."""
+    rejected, is_null = flag_arrays(rejected, is_null)
     total = int(rejected.sum())
     if total == 0:
         return 0.0
@@ -112,12 +116,7 @@ def fdp_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
 
 def power_from_flags(rejected: np.ndarray, is_null: np.ndarray) -> float:
     """Fraction of non-nulls rejected; 0 when there are no non-nulls."""
-    rejected = np.asarray(rejected, dtype=bool)
-    is_null = np.asarray(is_null, dtype=bool)
-    if rejected.shape != is_null.shape:
-        raise ValueError(
-            f"length mismatch: {rejected.shape[0]} decisions vs {is_null.shape[0]} labels"
-        )
+    rejected, is_null = flag_arrays(rejected, is_null)
     non_null = int((~is_null).sum())
     if non_null == 0:
         return 0.0

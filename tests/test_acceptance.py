@@ -271,39 +271,51 @@ def test_criterion_6_investing_equivalence_identity():
     report("criterion 6: candidate-discounted numerator equals spent-wealth sum", failures)
 
 
-def test_criterion_7_bh_exact_fdr_identity():
-    failures = []
-    instances = 100_000
+BH_INSTANCES = 100_000
 
+
+def _bh_all_null_fdps() -> np.ndarray:
+    """BH's FDP on each of 100 000 instances of 20 null p-values."""
     rng = np.random.default_rng(777)
-    fdps = np.empty(instances)
-    for i in range(instances):
+    fdps = np.empty(BH_INSTANCES)
+    for i in range(BH_INSTANCES):
         pvalues = rng.random(20)
         result = bh(pvalues, ALPHA)
         fdps[i] = 1.0 if result.rejected else 0.0  # all hypotheses null
-    mean = fdps.mean()
-    se = fdps.std(ddof=1) / np.sqrt(instances)
-    if abs(mean - 0.05) > 3 * se:
-        failures.append(f"all-null: fdr {mean:.5f} vs 0.05 +- {3 * se:.5f}")
+    return fdps
 
+
+def _bh_half_null_fdps() -> np.ndarray:
+    """BH's FDP on each of 100 000 instances of 10 null and 10 strong signals."""
     rng = np.random.default_rng(778)
-    fdps = np.empty(instances)
-    is_null = np.array([True] * 10 + [False] * 10)
-    for i in range(instances):
-        pvalues = np.empty(20)
-        pvalues[:10] = rng.random(10)
+    pvalues = np.empty((BH_INSTANCES, 20))
+    z = np.empty((BH_INSTANCES, 10))
+    for i in range(BH_INSTANCES):
+        pvalues[i, :10] = rng.random(10)
         # strong one-sided signals: mean drawn from N(3, 1), observation N(mean, 1)
-        z = 3.0 + rng.standard_normal(10) + rng.standard_normal(10)
-        pvalues[10:] = normal_sf(z)
-        result = bh(pvalues, ALPHA)
+        z[i] = 3.0 + rng.standard_normal(10) + rng.standard_normal(10)
+    pvalues[:, 10:] = normal_sf(z)
+    fdps = np.empty(BH_INSTANCES)
+    is_null = np.array([True] * 10 + [False] * 10)
+    for i in range(BH_INSTANCES):
+        result = bh(pvalues[i], ALPHA)
         rejected = np.zeros(20, dtype=bool)
         rejected[list(result.rejected)] = True
         fdps[i] = fdp_from_flags(rejected, is_null)
-    mean = fdps.mean()
-    se = fdps.std(ddof=1) / np.sqrt(instances)
-    if abs(mean - 0.025) > 3 * se:
-        failures.append(f"half-null: fdr {mean:.5f} vs 0.025 +- {3 * se:.5f}")
+    return fdps
 
+
+def test_criterion_7_bh_exact_fdr_identity():
+    # the two halves draw from their own seeds, one worker each
+    with ProcessPoolExecutor(max_workers=JOBS) as pool:
+        halves = [pool.submit(f) for f in (_bh_all_null_fdps, _bh_half_null_fdps)]
+        results = [half.result() for half in halves]
+    failures = []
+    for label, fdps, target in zip(("all-null", "half-null"), results, (0.05, 0.025)):
+        mean = fdps.mean()
+        se = fdps.std(ddof=1) / np.sqrt(BH_INSTANCES)
+        if abs(mean - target) > 3 * se:
+            failures.append(f"{label}: fdr {mean:.5f} vs {target} +- {3 * se:.5f}")
     report("criterion 7: step-up FDR equals alpha x null fraction", failures)
 
 

@@ -120,6 +120,8 @@ def test_oracle_length_mismatch():
     recs = records_from([0.5], [0.01])
     with pytest.raises(ValueError):
         fdp_oracle(recs, [True, False])
+    with pytest.raises(ValueError, match=r"decisions \(1,\) vs labels \(\)"):
+        fdp_oracle(recs, True)
 
 
 @pytest.mark.parametrize("name", PROCEDURE_NAMES)

@@ -365,7 +365,7 @@ def test_levels_are_predictable_from_prefix(name, g16):
     assert levels[0].tolist() == levels[1].tolist()
 
 
-@pytest.mark.parametrize("name", ["saffron", "saffron-ai", "lord"])
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
 def test_load_history_replays_realized_bits(name, g16):
     rng = np.random.default_rng(17)
     pvalues = (rng.random(60) * 0.08).tolist()
@@ -376,10 +376,97 @@ def test_load_history_replays_realized_bits(name, g16):
     assert replayed.next_level() == driven.next_level()
 
 
-def test_load_history_rejects_infeasible_bits(g2):
-    proc = Saffron(ALPHA, W0, g2)
+def resume_stream():
+    """40 p-values that every procedure both rejects and leaves as
+    non-candidates; saffron also meets candidates it does not reject."""
+    rng = np.random.default_rng(29)
+    return np.concatenate([[0.0, 0.9, 0.001], rng.random(37) ** 3])
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_resume_by_replay_at_every_split_is_bit_identical(name, g16):
+    pvalues = resume_stream()
+    whole = make_procedure(name, ALPHA, W0, g16).run(pvalues)
+    assert whole.rejected.any() and not whole.candidate.all()
+    assert name != "saffron" or (whole.candidate & ~whole.rejected).any()
+    for k in range(len(pvalues) + 1):
+        resumed = make_procedure(name, ALPHA, W0, g16)
+        resumed.load_history(whole.rejected[:k], whole.candidate[:k])
+        assert resumed.t == k + 1
+        rest = resumed.run(pvalues[k:])
+        assert rest.alpha.tolist() == whole.alpha[k:].tolist()
+        assert rest.lam.tolist() == whole.lam[k:].tolist()
+        assert rest.rejected.tolist() == whole.rejected[k:].tolist()
+        assert rest.candidate.tolist() == whole.candidate[k:].tolist()
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+@pytest.mark.parametrize(
+    "rejected, candidate",
+    [
+        ([True], [False]),
+        ([False, False, True], [False, True, False]),
+        ([False, True], [False, True, True]),
+        ([True, True, False], [True, True]),
+    ],
+    ids=[
+        "first-rejection-no-candidate",
+        "last-rejection-no-candidate",
+        "fewer-rejection-bits",
+        "fewer-candidate-bits",
+    ],
+)
+def test_bad_history_raises_and_changes_nothing(name, rejected, candidate, g16):
+    prefix = resume_stream()[:10]
+    proc, twin = (make_procedure(name, ALPHA, W0, g16) for _ in range(2))
+    proc.run(prefix)
+    twin.run(prefix)
     with pytest.raises(ValueError):
-        proc.load_history([True], [False])
+        proc.load_history(rejected, candidate)
+    assert proc.t == twin.t == len(prefix) + 1
+    assert proc.next_level() == twin.next_level()
+    assert proc.step(0.01) == twin.step(0.01)
+
+
+def test_load_history_needs_both_bit_vectors(g2):
+    with pytest.raises(TypeError):
+        Saffron(ALPHA, W0, g2).load_history([False, True])
+
+
+def _no_level(*args):
+    raise AssertionError("load_history evaluated a level")
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_load_history_evaluates_no_level(name, g16):
+    pvalues = resume_stream()
+    driven = make_procedure(name, ALPHA, W0, g16)
+    trace = driven.run(pvalues)
+    replayed = make_procedure(name, ALPHA, W0, g16)
+    replayed._compute_levels = _no_level
+    replayed.load_history(trace.rejected, trace.candidate)
+    del replayed._compute_levels
+    assert replayed.next_level() == driven.next_level()
+
+
+def _state(proc):
+    """Every attribute but the pending level pair and the payout cache."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(proc).items()
+        if key not in ("_pending", "_s")
+    }
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_next_level_only_reads_the_state(name, g16):
+    proc = make_procedure(name, ALPHA, W0, g16)
+    for p in resume_stream().tolist():
+        before = _state(proc)
+        levels = proc.next_level()
+        assert _state(proc) == before
+        assert proc.next_level() == levels
+        proc.observe(p)
 
 
 def test_make_procedure_unknown_name(g2):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,14 @@ def test_length_mismatch_raises():
         fdp_from_flags([True, False], [True])
     with pytest.raises(ValueError):
         power_from_flags([True, False], [True, False, True])
+
+
+@pytest.mark.parametrize("metric", [fdp_from_flags, power_from_flags])
+def test_shape_mismatch_names_both_shapes(metric):
+    with pytest.raises(ValueError, match=r"decisions \(\) vs labels \(1,\)"):
+        metric(True, [True])
+    with pytest.raises(ValueError, match=r"decisions \(2, 3\) vs labels \(2,\)"):
+        metric(np.zeros((2, 3), bool), np.zeros(2, bool))
 
 
 def test_exhaustive_recount_all_lengths_up_to_8():
