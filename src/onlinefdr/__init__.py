@@ -22,7 +22,6 @@ from .procedures import (
     AlphaInvesting,
     Lord,
     OnlineProcedure,
-    ProtocolError,
     Saffron,
     make_procedure,
 )

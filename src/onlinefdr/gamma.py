@@ -123,6 +123,8 @@ class GammaSequence:
 
     def head(self, n: int) -> np.ndarray:
         """The first n values as an array (copy)."""
+        if n < 0:
+            raise IndexError(f"gamma head length must be >= 0, got {n}")
         if n > len(self._values):
             self._extend(n)
         return self._values[:n].copy()

@@ -1,11 +1,11 @@
 """Online FDR procedures as incremental decision state machines.
 
-Each procedure follows a two-phase step protocol: ``next_level()`` returns the
-pair (test level alpha_t, candidacy threshold lambda_t) for the current step,
-computed from past rejections and candidacies only, and ``observe(p)`` commits
-the p-value, returning a :class:`DecisionRecord` and advancing the state.
-``step(p)`` fuses the two; ``run(pvalues)`` streams a whole array through and
-returns a :class:`StreamTrace`.  ``run_batch(pvalues)`` decides every row of a
+``next_level()`` is each procedure's level rule: it returns the pair (test
+level alpha_t, candidacy threshold lambda_t) for the current step, computed
+from past rejections and candidacies only.  ``observe(p)`` decides p at that
+level, returns a :class:`DecisionRecord` and advances the state; ``step(p)``
+is the same call.  ``run(pvalues)`` streams a whole array through and returns
+a :class:`StreamTrace`.  ``run_batch(pvalues)`` decides every row of a
 (B, T) matrix as a stream of its own, all rows in lockstep over t, and returns
 one such trace per row, which is how the simulation harness runs its trials.
 
@@ -45,10 +45,6 @@ from .gamma import GammaSequence
 from .records import DecisionRecord, StreamTrace, validate_pvalue, validate_pvalues
 
 
-class ProtocolError(RuntimeError):
-    """next_level/observe called out of order."""
-
-
 def _check_params(alpha: float, w0: float) -> tuple[float, float]:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
@@ -81,15 +77,11 @@ class OnlineProcedure:
 
     def __init__(self):
         self._t = 1
-        self._pending: tuple[float, float] | None = None
 
     @property
     def t(self) -> int:
         """Index of the next step to be tested (1-based)."""
         return self._t
-
-    def _compute_levels(self) -> tuple[float, float]:
-        raise NotImplementedError
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         raise NotImplementedError
@@ -97,19 +89,18 @@ class OnlineProcedure:
     def next_level(self) -> tuple[float, float]:
         """The (alpha_t, lambda_t) pair for the current step.
 
-        Depends only on the rejection/candidacy history before this step;
-        idempotent until the step is committed with ``observe``.
+        A pure read of the rejection/candidacy history before this step:
+        calling it any number of times changes no decision.
         """
-        if self._pending is None:
-            self._pending = self._compute_levels()
-        return self._pending
+        raise NotImplementedError
 
     def observe(self, p: float) -> DecisionRecord:
-        """Commit the p-value for the current step and advance."""
-        if self._pending is None:
-            raise ProtocolError("observe() called before next_level() for this step")
+        """Decide p at the current step's ``next_level()`` and advance.
+
+        ``step`` is the same method.
+        """
         p = validate_pvalue(p)
-        alpha_t, lam_t = self._pending
+        alpha_t, lam_t = self.next_level()
         rejected = p <= alpha_t
         candidate = p <= lam_t
         record = DecisionRecord(
@@ -123,14 +114,11 @@ class OnlineProcedure:
         self._commit(rejected, candidate)
         return record
 
-    def step(self, p: float) -> DecisionRecord:
-        self.next_level()
-        return self.observe(p)
+    step = observe
 
     def _commit(self, rejected: bool, candidate: bool) -> None:
         self._apply(rejected, candidate)
         self._t += 1
-        self._pending = None
 
     def run(self, pvalues: Sequence[float] | np.ndarray) -> StreamTrace:
         """Stream an array of p-values through the procedure; the trace keeps a copy."""
@@ -185,8 +173,6 @@ class OnlineProcedure:
         replayed, so a bad history changes nothing; the replay evaluates no
         level and costs O(1) a step.
         """
-        if self._pending is not None:
-            raise ProtocolError("cannot load history with a step in progress")
         r = np.asarray(rejected, dtype=bool)
         c = np.asarray(candidate, dtype=bool)
         if r.ndim != 1 or r.shape != c.shape:
@@ -237,7 +223,7 @@ class _GammaInvesting(OnlineProcedure):
         """The (alpha_t, lambda_t) pair at payout s (floats, or arrays with np.minimum)."""
         raise NotImplementedError
 
-    def _compute_levels(self) -> tuple[float, float]:
+    def next_level(self) -> tuple[float, float]:
         return self._levels(self._payout())
 
     def _payout(self) -> float:
@@ -376,7 +362,7 @@ class AlphaInvesting(OnlineProcedure):
         self.gamma = gamma
         self.wealth = self.alpha
 
-    def _compute_levels(self) -> tuple[float, float]:
+    def next_level(self) -> tuple[float, float]:
         a = investing_level(self.gamma[self._t] * self.wealth)
         return a, a
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -230,13 +230,12 @@ def run_cell(config: SimConfig) -> SweepRow:
 def grid(
     base: SimConfig,
     pi1_values: Sequence[float],
-    procedures: Sequence[ProcedureSpec] | None = None,
+    procedures: Sequence[ProcedureSpec],
 ) -> list[SimConfig]:
     """Expand a base config over non-null fractions and procedure variants."""
-    procs = list(procedures) if procedures is not None else [base.procedure]
     return [
         replace(base, model=replace(base.model, pi1=pi1), procedure=proc)
-        for proc in procs
+        for proc in procedures
         for pi1 in pi1_values
     ]
 
@@ -288,18 +287,14 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
     return rows
 
 
-CSV_HEADER = "procedure,gamma,pi1,fdr,fdr_se,power,power_se,trials,seed"
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def write_csv(rows: Sequence[SweepRow], out: IO[str], precision: int = 6) -> None:
-    """Emit the sweep table; floats use the given number of significant digits."""
-
-    def fmt(x: float) -> str:
-        return format(x, f".{precision}g")
-
+    """Emit the sweep table in ``SweepRow``'s field order; floats use the
+    given number of significant digits, every other field ``str``."""
+    spec = f".{precision}g"
     out.write(CSV_HEADER + "\n")
     for r in rows:
-        out.write(
-            f"{r.procedure},{r.gamma},{fmt(r.pi1)},{fmt(r.fdr)},{fmt(r.fdr_se)},"
-            f"{fmt(r.power)},{fmt(r.power_se)},{r.trials},{r.seed}\n"
-        )
+        cells = (format(v, spec) if isinstance(v, float) else str(v) for v in astuple(r))
+        out.write(",".join(cells) + "\n")

@@ -165,6 +165,12 @@ def test_index_below_one_rejected(power2):
         power2.at(np.array([3, 0]))
 
 
+def test_head_length_below_zero_rejected(power16):
+    with pytest.raises(IndexError):
+        power16.head(-1)
+    assert power16.head(0).shape == (0,)
+
+
 def test_vector_lookup_matches_scalar(power16):
     idx = np.array([1, 5, 17, 4000, 3], dtype=np.int64)
     vec = power16.at(idx)

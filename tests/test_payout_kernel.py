@@ -49,7 +49,7 @@ def check_levels(name, w0, gam, R, C):
     proc = build(name, w0, gam)
     proc.load_history(R, C)
     a, lam = proc.next_level()
-    assert proc.next_level() == (a, lam)  # idempotent until observed
+    assert proc.next_level() == (a, lam)  # a pure read: asking again gives the same pair
     if name == "lord":
         assert a == lam == pytest.approx(oracle.lord_level(R, ALPHA, w0, gam), rel=1e-12)
     elif name == "saffron":

@@ -11,7 +11,6 @@ from onlinefdr.procedures import (
     AdaptiveSaffron,
     AlphaInvesting,
     Lord,
-    ProtocolError,
     Saffron,
     make_procedure,
 )
@@ -278,14 +277,14 @@ def test_alpha_investing_wealth_identity(pvalues, g16):
 # ----------------------------------------------------- protocol & shared
 
 
-def test_observe_requires_next_level(g2):
-    proc = Saffron(ALPHA, W0, g2)
-    with pytest.raises(ProtocolError):
-        proc.observe(0.5)
-    proc.next_level()
-    proc.observe(0.5)
-    with pytest.raises(ProtocolError):
-        proc.observe(0.5)  # second observe without a fresh next_level
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_observe_decides_at_next_level_without_being_asked(name, g16):
+    # three twins on one stream: observe alone, next_level then observe, and step
+    alone, asked, stepped = (make_procedure(name, ALPHA, W0, g16) for _ in range(3))
+    for p in resume_stream().tolist():
+        record = alone.observe(p)
+        assert (record.alpha, record.lam) == asked.next_level()
+        assert record == asked.observe(p) == stepped.step(p)
 
 
 def test_next_level_is_idempotent(g2):
@@ -443,18 +442,18 @@ def test_load_history_evaluates_no_level(name, g16):
     driven = make_procedure(name, ALPHA, W0, g16)
     trace = driven.run(pvalues)
     replayed = make_procedure(name, ALPHA, W0, g16)
-    replayed._compute_levels = _no_level
+    replayed.next_level = _no_level
     replayed.load_history(trace.rejected, trace.candidate)
-    del replayed._compute_levels
+    del replayed.next_level
     assert replayed.next_level() == driven.next_level()
 
 
 def _state(proc):
-    """Every attribute but the pending level pair and the payout cache."""
+    """Every attribute but the payout cache."""
     return {
         key: value.tolist() if isinstance(value, np.ndarray) else value
         for key, value in vars(proc).items()
-        if key not in ("_pending", "_s")
+        if key != "_s"
     }
 
 

@@ -238,7 +238,8 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
     # two cells of one procedure share one batch: no pool at all
-    cfgs = grid(base_config(trials=2), pi1_values=[0.2, 0.6])
+    base = base_config(trials=2)
+    cfgs = grid(base, pi1_values=[0.2, 0.6], procedures=[base.procedure])
     assert sweep(cfgs, jobs=5000) == sweep(cfgs, jobs=1)
     assert started == []
     cfgs = grid(base_config(trials=2), pi1_values=[0.2, 0.6], procedures=TWO_PROCEDURES)
