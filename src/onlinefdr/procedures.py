@@ -26,10 +26,11 @@ Implemented procedures:
   spends a gamma-scheduled fraction of current wealth per test.
 
 The first three share one payout kernel on a clock of non-candidate steps
-(see ``_GammaInvesting``): a candidate step costs O(1), a tick one O(clock)
-contiguous dot product.  The level rules :func:`saffron_level` and
-:func:`investing_level` are written once and serve both the scalar machine
-and the batched kernel.
+(see ``_GammaInvesting``): a candidate step and a rejection that does not
+tick cost O(1), a tick one O(clock) contiguous dot product, and ``run``
+re-reads the level only after a tick or a rejection.  The level rules
+:func:`saffron_level` and :func:`investing_level` are written once and serve
+both the scalar machine and the batched kernel.
 
 All step counters, rejection times, and gamma indices are 1-based.
 """
@@ -123,22 +124,13 @@ class OnlineProcedure:
     def run(self, pvalues: Sequence[float] | np.ndarray) -> StreamTrace:
         """Stream an array of p-values through the procedure; the trace keeps a copy."""
         pv = validate_pvalues(pvalues, 1).copy()
-        n = len(pv)
-        alphas = np.empty(n)
-        lams = np.empty(n)
-        rejected = np.empty(n, dtype=bool)
-        candidate = np.empty(n, dtype=bool)
-        plist = pv.tolist()
-        for i, p in enumerate(plist):
-            alpha_t, lam_t = self.next_level()
-            r = p <= alpha_t
-            c = p <= lam_t
-            alphas[i] = alpha_t
-            lams[i] = lam_t
-            rejected[i] = r
-            candidate[i] = c
-            self._commit(r, c)
-        return StreamTrace(pv, alphas, lams, rejected, candidate)
+        alphas, lams = np.empty(len(pv)), np.empty(len(pv))
+        self._run(pv.tolist(), alphas, lams)
+        return StreamTrace(pv, alphas, lams, pv <= alphas, pv <= lams)
+
+    def _run(self, plist: list[float], alphas: np.ndarray, lams: np.ndarray) -> None:
+        """Advance over ``plist`` as ``observe`` would, writing the levels."""
+        raise NotImplementedError
 
     def run_batch(self, pvalues: np.ndarray) -> list[StreamTrace]:
         """Decide each row of a (B, T) p-value matrix as a stream of its own.
@@ -200,10 +192,12 @@ class _GammaInvesting(OnlineProcedure):
     between tau_j and t (none for lord).  A clock ticks on every non-candidate
     step (every step for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j):
     a rejection adds its weight at slot ``clock`` of one dense array, merging
-    with windows opened at the same clock value, and s_t is one contiguous dot
-    of the slots with the reversed gamma head.  s_t is cached until the next
-    tick or rejection.  Subclasses turn s_t into the level pair in
-    ``_levels``, which both the scalar machine and the batched kernel call.
+    with windows opened at the same clock value.  s_t is base + W[clock] *
+    gamma_1, where base, one contiguous dot of the older slots with the
+    reversed gamma head, is cached until the next tick: a rejection that does
+    not tick (every saffron and saffron-ai rejection) costs O(1).  Subclasses
+    turn s_t into the level pair in ``_levels``, which both the scalar machine
+    and the batched kernel call.
     """
 
     _ticks_on_candidates = False
@@ -227,10 +221,11 @@ class _GammaInvesting(OnlineProcedure):
         return self._levels(self._payout())
 
     def _payout(self) -> float:
+        c = self._clock
         if self._s is None:
-            n = self._clock + 1
-            self._s = float(self._weights[:n] @ self._grev[len(self._grev) - n :])
-        return self._s
+            L = len(self._grev)
+            self._s = float(self._weights[:c] @ self._grev[L - 1 - c : L - 1])
+        return self._s + self._weights.item(c) * self._grev.item(-1)
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         # Tick before placing the weight: lord's rejection step ticks, so its
@@ -244,7 +239,19 @@ class _GammaInvesting(OnlineProcedure):
         if rejected:
             self._nrej += 1
             self._weights[self._clock] += self.alpha - self.w0 if self._nrej == 1 else self.alpha
-            self._s = None
+
+    def _run(self, plist, alphas, lams):
+        # Only a tick or a rejection changes the level pair; a saffron
+        # candidate that is not rejected changes nothing but t.
+        ticks = self._ticks_on_candidates
+        a, lam = self.next_level()
+        for i, p in enumerate(plist):
+            alphas[i], lams[i] = a, lam
+            r, c = p <= a, p <= lam
+            if r or ticks or not c:
+                self._apply(r, c)
+                a, lam = self.next_level()
+        self._t += len(plist)
 
     def _run_batch(self, pt):
         # The same slots and clock as the scalar machine, one row per stream.
@@ -371,6 +378,22 @@ class AlphaInvesting(OnlineProcedure):
             self.wealth += self.alpha
         else:
             self.wealth -= self.gamma[self._t] * self.wealth
+
+    def _run(self, plist, alphas, lams):
+        # gamma_t for the whole stretch from one head slice, not two lookups a step
+        t0 = self._t - 1
+        psi = map(float, self.gamma.head(t0 + len(plist))[t0:])
+        alpha, wealth = self.alpha, self.wealth
+        for i, (p, g) in enumerate(zip(plist, psi)):
+            pen = g * wealth
+            alphas[i] = a = investing_level(pen)
+            if p <= a:
+                wealth += alpha
+            else:
+                wealth -= pen
+        lams[:] = alphas
+        self.wealth = wealth
+        self._t += len(plist)
 
     def _run_batch(self, pt):
         # The same arithmetic as the scalar machine, a wealth per row.

@@ -12,7 +12,7 @@ i.e. a SeedSequence keyed on both integers.  ``sweep`` lists the (cell,
 trial) pairs of all cells that share a procedure and a stream length, cuts
 the list into batches, draws each trial's stream from its own generator, and
 decides a batch with one ``run_batch`` call in lockstep over t (a batch of
-fewer than 16 trials goes one trial at a time through ``run``).  Both return
+fewer than 24 trials goes one trial at a time through ``run``).  Both return
 one trace per trial.  A trial's decisions do not depend on the batch it lands
 in, and the sweep output is identical for any worker count.
 """
@@ -178,11 +178,12 @@ class SweepRow:
 _BATCH_TRIAL_STEPS = 256_000
 
 # With fewer rows than this, run_batch decides a batch more slowly than run()
-# decides its trials one at a time: on 2 vCPUs the crossover was 8 rows at
-# T = 1000 and 16 at T = 8000.  Smaller batches, such as a cell of a few
-# trials or any batch of streams longer than 16 000 steps, are therefore
-# decided one trial at a time.
-_MIN_BATCH_ROWS = 16
+# decides its trials one at a time.  On 2 vCPUs the crossover was 16-24 rows
+# at T = 1000 and 24-32 at T = 8000 for saffron, saffron-ai and
+# alpha-investing, and under 16 for lord, whose run() pays a dot every step.
+# Smaller batches, such as a cell of a few trials or any batch of streams
+# longer than 10 666 steps, are therefore decided one trial at a time.
+_MIN_BATCH_ROWS = 24
 
 
 def _plan_batches(configs: Sequence[SimConfig]) -> list[list[tuple[int, int]]]:
@@ -246,7 +247,7 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
     The trials of all cells that share a procedure and a stream length are
     decided together, in batches of at most ``_BATCH_TRIAL_STEPS`` trial-steps
     that may span cells; the batches do not depend on ``jobs``.  Each batch
-    is one ``run_batch`` call, except that a batch of fewer than 16 trials
+    is one ``run_batch`` call, except that a batch of fewer than 24 trials
     is decided one trial at a time by ``run`` (see ``_MIN_BATCH_ROWS``).  Each
     worker takes one batch at a time, and at most one worker per batch is
     started: the pool forks all its workers at the first submit.

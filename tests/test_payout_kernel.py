@@ -8,6 +8,11 @@ rejection before any tick (merging it with W0), and the long gap pushes the
 clock past the kernel's initial 1024-slot buffers.
 """
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,3 +99,33 @@ def test_random_histories_match_replay_oracle(head, gap, tail, w0, name, g16):
     R, C, ends = history(head + [(gap, "C", 1)] + tail)
     for end in ends:
         check_levels(name, w0, g16, R[:end], C[:end])
+
+
+BLAS_PROBE = """
+import sys
+import numpy as np
+from onlinefdr import Lord, from_spec
+trace = Lord(0.05, 0.025, from_spec("power:1.6")).run(np.load(sys.argv[1]))
+np.savez(sys.argv[2], alpha=trace.alpha, rejected=trace.rejected)
+"""
+
+
+def test_long_lord_stream_decides_alike_on_one_blas_thread(g16, tmp_path):
+    # OpenBLAS may split a dot of more than 10 000 terms across threads and
+    # add them in another order: past t = 10 000 the levels may move in their
+    # last bits, the decisions must not
+    rng = np.random.default_rng(31)
+    u = rng.random((3, 12_000))
+    np.save(tmp_path / "p.npy", np.where(u[0] < 0.3, u[1] ** 8, u[2]))
+    result = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, tmp_path / "p.npy", tmp_path / "one.npz"],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    trace = Lord(ALPHA, ALPHA / 2, g16).run(np.load(tmp_path / "p.npy"))
+    assert trace.rejected[10_000:].any()
+    with np.load(tmp_path / "one.npz") as one:
+        assert one["rejected"].tolist() == trace.rejected.tolist()
+        np.testing.assert_allclose(one["alpha"], trace.alpha, rtol=1e-12, atol=0)

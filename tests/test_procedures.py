@@ -328,14 +328,22 @@ def test_run_batch_rows_do_not_depend_on_the_batch(name, g16):
         np.testing.assert_allclose(whole[i].lam, trace.lam, rtol=1e-12, atol=0)
 
 
-def test_run_equals_stepwise(g16):
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_run_equals_stepwise(name, g16):
+    # half near-certain signals (saffron still meets candidates it does not
+    # reject), half non-candidates: every clock passes the kernel's 1024 slots
     rng = np.random.default_rng(11)
-    pvalues = rng.random(150)
-    trace = Saffron(ALPHA, W0, g16).run(pvalues)
-    stepwise = drive(Saffron(ALPHA, W0, g16), pvalues)
-    assert trace.alpha.tolist() == [r.alpha for r in stepwise]
-    assert trace.rejected.tolist() == [r.rejected for r in stepwise]
-    assert trace.candidate.tolist() == [r.candidate for r in stepwise]
+    u = rng.random((3, 3000))
+    pvalues = np.where(u[0] < 0.5, u[1] ** 10, 0.5 + 0.5 * u[2])
+    proc, twin = (make_procedure(name, ALPHA, W0, g16) for _ in range(2))
+    pieces = [proc.run(part) for part in (pvalues[:1234], [], pvalues[1234:])]
+    stepwise = drive(twin, pvalues)
+    for field in ("alpha", "lam", "rejected", "candidate"):
+        ran = np.concatenate([getattr(piece, field) for piece in pieces])
+        assert ran.tolist() == [getattr(r, field) for r in stepwise], field
+    assert name == "alpha-investing" or proc._clock > 1024
+    assert proc.t == twin.t == len(pvalues) + 1
+    assert proc.next_level() == twin.next_level()
 
 
 @pytest.mark.parametrize("name", ["saffron", "saffron-ai", "lord", "alpha-investing"])

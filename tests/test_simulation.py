@@ -269,8 +269,8 @@ def test_sweep_rows_do_not_depend_on_batch_boundaries(monkeypatch):
     cfgs = grid(base_config(trials=20), [0.1, 0.5, 0.9], TWO_PROCEDURES)
     whole = sweep(cfgs)
     assert whole == [aggregate_row(c) for c in cfgs]
-    # batches of 16, 23 and 60 rows, and 7 rows, too few to batch at all
-    for cap in (16, 23, 60, 7):
+    # batches of 24, 37 and 60 rows, and 7 rows, too few to batch at all
+    for cap in (24, 37, 60, 7):
         monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", cap * 100)
         assert sweep(cfgs) == whole, cap
         assert sweep(cfgs, jobs=3) == whole, cap
@@ -283,16 +283,16 @@ def test_only_batches_too_small_to_pay_go_one_at_a_time(monkeypatch):
                         lambda self, p: calls.append("run") or run(self, p))
     monkeypatch.setattr(simulation.OnlineProcedure, "run_batch",
                         lambda self, p: calls.append("run_batch") or run_batch(self, p))
-    assert simulation._MIN_BATCH_ROWS == 16
-    sweep([base_config(trials=16)])
+    assert simulation._MIN_BATCH_ROWS == 24
+    sweep([base_config(trials=24)])
     assert calls == ["run_batch"]
     calls.clear()
-    sweep([base_config(trials=15)])
-    assert calls == ["run"] * 15
+    sweep([base_config(trials=23)])
+    assert calls == ["run"] * 23
     calls.clear()
-    # a cap of 17 rows cuts 20 trials into a batch of 17 and one of 3
-    monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 17 * 100)
-    sweep([base_config(trials=20)])
+    # a cap of 25 rows cuts 28 trials into a batch of 25 and one of 3
+    monkeypatch.setattr(simulation, "_BATCH_TRIAL_STEPS", 25 * 100)
+    sweep([base_config(trials=28)])
     assert calls == ["run_batch"] + ["run"] * 3
 
 
