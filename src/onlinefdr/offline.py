@@ -31,7 +31,9 @@ class OfflineResult:
     rejected: frozenset[int]
 
 
-def _validated(pvalues: Sequence[float]) -> np.ndarray:
+def _validated(pvalues: Sequence[float], alpha: float | None = None) -> np.ndarray:
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     p = validate_pvalues(pvalues, 1)
     if not len(p):
         raise ValueError("need at least one p-value")
@@ -62,9 +64,7 @@ def _best_threshold(p: np.ndarray, alpha: float, scale: float) -> float:
 
 def bh(pvalues: Sequence[float], alpha: float) -> OfflineResult:
     """Step-up control of the FDR at level alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    p = _validated(pvalues)
+    p = _validated(pvalues, alpha)
     s = _best_threshold(p, alpha, scale=1.0)
     return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))
 
@@ -82,8 +82,6 @@ def storey_pi0(pvalues: Sequence[float], lam: float) -> float:
 
 def storey_bh(pvalues: Sequence[float], alpha: float, lam: float = 0.5) -> OfflineResult:
     """Adaptive step-up: BH scaled by the estimated null fraction."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    p = _validated(pvalues)
+    p = _validated(pvalues, alpha)
     s = _best_threshold(p, alpha, scale=_pi0(p, lam))
     return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))

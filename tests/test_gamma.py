@@ -24,6 +24,9 @@ NORMALIZER_1E7 = {
     "log-optimal": 12.645107872871753,
     "beta:0.5": 2.455741061606366,
     "beta:0.9": 109.38050186364661,
+    # the family's edges: at beta:0.99 the f' term is ~8e-15 of the total
+    "beta:0.1": 0.025699434692910937,
+    "beta:0.99": 10311.515655250372,
 }
 
 
@@ -143,6 +146,26 @@ def test_bad_parameters_rejected():
 
 
 @pytest.mark.parametrize(
+    "build, name, x",
+    [(G.power_law, "power", x) for x in (1.0, 0.5, math.inf, math.nan)]
+    + [(G.beta_optimal, "beta", x) for x in (0.0, 1.0, math.nan)],
+)
+def test_constructor_and_spec_raise_one_error(build, name, x):
+    # the constructors and spec text are checked by one parser, in one wording
+    with pytest.raises(ValueError) as by_spec:
+        G.from_spec(f"{name}:{x!r}")
+    with pytest.raises(ValueError) as by_constructor:
+        build(x)
+    assert str(by_constructor.value) == str(by_spec.value)
+
+
+@pytest.mark.parametrize("spec", ["log-optimal:", "log-optimal:3"])
+def test_log_optimal_takes_no_parameter(spec):
+    with pytest.raises(ValueError, match="takes no parameter"):
+        G.canonical_spec(spec)
+
+
+@pytest.mark.parametrize(
     "spec, reason", [("power:inf", "finite"), ("power:1e6", "underflow"), ("power:60", "underflow")]
 )
 def test_vanishing_sequence_rejected(spec, reason):
@@ -169,6 +192,12 @@ def test_head_length_below_zero_rejected(power16):
     with pytest.raises(IndexError):
         power16.head(-1)
     assert power16.head(0).shape == (0,)
+
+
+def test_vector_lookup_takes_any_integer_array_like(power16):
+    assert power16.at([4000, 1]).tolist() == [power16[4000], power16[1]]
+    empty = power16.at(np.array([], dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_vector_lookup_matches_scalar(power16):

@@ -153,3 +153,5 @@ def test_input_validation():
         bh([0.5], 0.0)
     with pytest.raises(ValueError):
         storey_bh([0.5], 0.05, lam=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        storey_bh([0.5], 1.0)
