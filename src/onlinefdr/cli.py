@@ -24,7 +24,7 @@ from typing import IO, Any, Callable, Iterator, Sequence
 from . import gamma as gamma_mod
 from . import offline as offline_mod
 from .procedures import PROCEDURE_NAMES
-from .records import validate_pvalue
+from .records import validate_levels
 from .simulation import (
     DataModel,
     ProcedureSpec,
@@ -186,25 +186,39 @@ def _canonical(command: str, values: dict[str, Any]) -> str:
 
 
 @contextmanager
-def _opened(path: str | None, mode: str, default: IO[str]) -> Iterator[IO[str]]:
-    """The named file, closed on exit, or ``default`` (left open) when no path is given."""
+def _opened(path: str | None, mode: str, default: IO[str]) -> Iterator[IO]:
+    """The named file, closed on exit, or ``default`` (left open) when no path is
+    given; in a binary ``mode``, ``default``'s byte buffer."""
     if not path:
-        yield default
+        yield default.buffer if "b" in mode else default
         return
     with open(path, mode) as fh:
         yield fh
 
 
-def _read_pvalues(fin: IO[str]) -> Iterator[float | ValueError]:
+def _pvalue(raw: bytes | str) -> float | None:
+    """The p-value a line holds, or None."""
+    try:
+        p = float(raw)
+    except ValueError:
+        return None
+    return p if 0.0 <= p <= 1.0 else None  # also rejects NaN
+
+
+def _read_pvalues(fin: IO[bytes]) -> Iterator[float | ValueError]:
     """Each non-blank line's p-value, or the error naming a bad line, one line at a time."""
-    for lineno, line in enumerate(iter(fin.readline, ""), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            yield validate_pvalue(float(text))
-        except ValueError:
-            yield ValueError(f"line {lineno}: not a p-value in [0, 1]: {text!r}")
+    for lineno, line in enumerate(iter(fin.readline, b""), start=1):
+        p = _pvalue(line)
+        if p is None:
+            # Decoded only here: float() reads non-ASCII digits and spaces in
+            # text but not in bytes, and the message quotes the line as text.
+            text = line.decode("utf-8", "surrogateescape").strip()
+            if not text:
+                continue
+            p = _pvalue(text)
+            if p is None:
+                p = ValueError(f"line {lineno}: not a p-value in [0, 1]: {text!r}")
+        yield p
 
 
 def _handle_sweep(args: argparse.Namespace, s: dict[str, Any]) -> int:
@@ -226,14 +240,18 @@ def _handle_sweep(args: argparse.Namespace, s: dict[str, Any]) -> int:
 
 
 def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
-    with _opened(args.out, "w", sys.stdout) as out:
+    """Decide each line as ``observe`` would, through ``_decide`` (no record),
+    and print it as bytes; a level pair is checked and formatted only when it
+    differs from the last one (saffron's holds until a tick or a rejection)."""
+    with _opened(args.out, "wb", sys.stdout) as out:
         proc = ProcedureSpec(
             s["procedure"][0], s["alpha"], s["w0"], s["lambda"], s["gamma"][0]
         ).build()
         fmt = f".{s['precision']}g"
-        errors = 0
-        with _opened(args.input, "r", sys.stdin) as fin:
-            out.write(STREAM_HEADER + "\n")
+        errors = index = 0
+        pair = None
+        with _opened(args.input, "rb", sys.stdin) as fin:
+            out.write(f"{STREAM_HEADER}\n".encode())
             out.flush()
             # each decision is printed (and flushed) before the next input line is read
             for p in _read_pvalues(fin):
@@ -241,17 +259,21 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
                     print(f"error: {p}", file=sys.stderr)
                     errors += 1
                     continue
-                record = proc.step(p)
-                out.write(
-                    f"{record.index},{record.alpha:{fmt}},{record.lam:{fmt}},"
-                    f"{record.rejected:d},{record.candidate:d}\n"
-                )
+                alpha_t, lam_t, rejected, candidate = proc._decide(p)
+                index += 1
+                if (alpha_t, lam_t) != pair:
+                    # the record's check and the "alpha,lambda," text, once per level pair
+                    validate_levels(alpha_t, lam_t)
+                    pair = alpha_t, lam_t
+                    a = format(alpha_t, fmt)
+                    levels = f"{a},{a if lam_t == alpha_t else format(lam_t, fmt)},".encode()
+                out.write(b"%d,%b%d,%d\n" % (index, levels, rejected, candidate))
                 out.flush()
         return 2 if errors else 0
 
 
 def _handle_offline(args: argparse.Namespace, s: dict[str, Any]) -> int:
-    with _opened(args.input, "r", sys.stdin) as fin:
+    with _opened(args.input, "rb", sys.stdin) as fin:
         pvalues = []
         for p in _read_pvalues(fin):
             if isinstance(p, ValueError):

@@ -4,7 +4,10 @@
 level alpha_t, candidacy threshold lambda_t) for the current step, computed
 from past rejections and candidacies only.  ``observe(p)`` decides p at that
 level, returns a :class:`DecisionRecord` and advances the state; ``step(p)``
-is the same call.  ``run(pvalues)`` streams a whole array through and returns
+is the same call.  ``observe`` is the private ``_decide(p)``, which applies
+the level rule and commits the decision, plus the record around it; the
+stream command calls ``_decide`` directly and checks each new level pair
+once.  ``run(pvalues)`` streams a whole array through and returns
 a :class:`StreamTrace`.  ``run_batch(pvalues)`` decides every row of a
 (B, T) matrix as a stream of its own, all rows in lockstep over t, and returns
 one such trace per row, which is how the simulation harness runs its trials.
@@ -101,21 +104,23 @@ class OnlineProcedure:
         ``step`` is the same method.
         """
         p = validate_pvalue(p)
+        index = self._t
+        alpha_t, lam_t, rejected, candidate = self._decide(p)
+        return DecisionRecord(index, p, alpha_t, lam_t, rejected, candidate)
+
+    step = observe
+
+    def _decide(self, p: float) -> tuple[float, float, bool, bool]:
+        """Decide a p-value already checked to lie in [0, 1] and advance.
+
+        Returns (alpha_t, lambda_t, rejected, candidate): ``observe`` without
+        the record, for callers that check the levels themselves.
+        """
         alpha_t, lam_t = self.next_level()
         rejected = p <= alpha_t
         candidate = p <= lam_t
-        record = DecisionRecord(
-            index=self._t,
-            p=p,
-            alpha=alpha_t,
-            lam=lam_t,
-            rejected=rejected,
-            candidate=candidate,
-        )
         self._commit(rejected, candidate)
-        return record
-
-    step = observe
+        return alpha_t, lam_t, rejected, candidate
 
     def _commit(self, rejected: bool, candidate: bool) -> None:
         self._apply(rejected, candidate)
@@ -368,21 +373,27 @@ class AlphaInvesting(OnlineProcedure):
         self.alpha = float(alpha)
         self.gamma = gamma
         self.wealth = self.alpha
+        self._psi = gamma.head(1)  # gamma_t at [t - 1]; only _apply and _run grow it
 
     def next_level(self) -> tuple[float, float]:
-        a = investing_level(self.gamma[self._t] * self.wealth)
+        a = investing_level(self._psi.item(self._t - 1) * self.wealth)
         return a, a
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         if rejected:
             self.wealth += self.alpha
         else:
-            self.wealth -= self.gamma[self._t] * self.wealth
+            self.wealth -= self._psi.item(self._t - 1) * self.wealth
+        if self._t == len(self._psi):  # the next step reads one past the head
+            self._psi = self.gamma.head(2 * self._t)
 
     def _run(self, plist, alphas, lams):
         # gamma_t for the whole stretch from one head slice, not two lookups a step
         t0 = self._t - 1
-        psi = map(float, self.gamma.head(t0 + len(plist))[t0:])
+        t1 = t0 + len(plist)
+        if t1 >= len(self._psi):
+            self._psi = self.gamma.head(max(t1 + 1, 2 * len(self._psi)))
+        psi = map(float, self._psi[t0:t1])
         alpha, wealth = self.alpha, self.wealth
         for i, (p, g) in enumerate(zip(plist, psi)):
             pen = g * wealth

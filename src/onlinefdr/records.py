@@ -1,7 +1,8 @@
 """Shared vocabulary for online testing runs.
 
 P-values are plain floats validated at the boundaries (one at a time by
-:func:`validate_pvalue`, as arrays by :func:`validate_pvalues`); hypothesis
+:func:`validate_pvalue`, as arrays by :func:`validate_pvalues`), and a level
+pair by :func:`validate_levels`; hypothesis
 labels are plain booleans with the convention ``True`` = truly null (ground
 truth, known only in simulation).  A :class:`DecisionRecord` is what one
 ``observe`` call returns; a :class:`StreamTrace` holds one stream's whole run
@@ -22,6 +23,12 @@ def validate_pvalue(p: float) -> float:
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError(f"p-value must lie in [0, 1], got {p}")
     return p
+
+
+def validate_levels(alpha: float, lam: float) -> None:
+    """Reject a level pair unless 0 <= alpha <= lam < 1."""
+    if not 0.0 <= alpha <= lam < 1.0:
+        raise ValueError(f"need 0 <= alpha <= lam < 1, got alpha={alpha}, lam={lam}")
 
 
 def validate_pvalues(pvalues, ndim: int) -> np.ndarray:
@@ -58,10 +65,7 @@ class DecisionRecord:
         if self.index < 1:
             raise ValueError(f"step index must be >= 1, got {self.index}")
         validate_pvalue(self.p)
-        if not 0.0 <= self.alpha <= self.lam < 1.0:
-            raise ValueError(
-                f"need 0 <= alpha <= lam < 1, got alpha={self.alpha}, lam={self.lam}"
-            )
+        validate_levels(self.alpha, self.lam)
         if self.rejected != (self.p <= self.alpha):
             raise ValueError("rejected flag inconsistent with p <= alpha")
         if self.candidate != (self.p <= self.lam):

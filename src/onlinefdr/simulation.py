@@ -20,7 +20,6 @@ in, and the sweep output is identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Sequence
 
@@ -261,6 +260,10 @@ def sweep(configs: Sequence[SimConfig], jobs: int = 1) -> list[SweepRow]:
     if jobs <= 1 or len(tasks) == 1:
         results = list(map(_batch_results, tasks))
     else:
+        # imported here, not at module level: the pool costs a cold start that
+        # the stream command never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

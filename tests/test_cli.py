@@ -1,14 +1,16 @@
 """Command-line interface: exit codes, config handling, stream protocol."""
 
 import io
+import select
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from onlinefdr import cli
 from onlinefdr import gamma as G
-from onlinefdr.procedures import Saffron
+from onlinefdr.procedures import PROCEDURE_NAMES, Saffron, make_procedure
 
 SWEEP_TINY = [
     "sweep", "--alpha", "0.05", "--pi1", "0.3,0.5", "--procedure", "saffron,lord",
@@ -18,7 +20,7 @@ SWEEP_TINY = [
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode())))
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -168,6 +170,91 @@ def test_stream_bad_line_skipped_and_reported(capsys, monkeypatch):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
+def _messy_stream(n):
+    """n lines of p-values with blank, non-numeric and out-of-range lines mixed in."""
+    rng = np.random.default_rng(14)
+    pvalues = np.where(rng.random(n) < 0.3, rng.random(n) ** 8, rng.random(n))
+    lines = [repr(p) for p in pvalues.tolist()]
+    for start, step, bad in ((0, 37, "bananas"), (5, 53, ""), (9, 61, "1.5"), (11, 71, " nan ")):
+        lines[start::step] = [bad] * len(lines[start::step])
+    lines[20:23] = ["-0", " 0.25\u3000", "\u0660.\u0665"]  # text-only spaces and digits parse too
+    return lines
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_stream_prints_what_observe_decides(name, precision, capsys, monkeypatch):
+    lines = _messy_stream(3000)
+    code, out, err = run_cli(
+        capsys, ["stream", "--alpha", "0.05", "--procedure", name, "--precision", str(precision)],
+        stdin_text="".join(f"{line}\n" for line in lines), monkeypatch=monkeypatch,
+    )
+    twin = make_procedure(name, 0.05, 0.025, G.from_spec("power:1.6"))
+    fmt = f".{precision}g"
+    rows, errors = ["t,alpha,lambda,reject,candidate\n"], []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            p = float(line)
+        except ValueError:
+            p = float("nan")
+        if 0.0 <= p <= 1.0:
+            r = twin.observe(p)
+            rows.append(f"{r.index},{r.alpha:{fmt}},{r.lam:{fmt}},{r.rejected:d},{r.candidate:d}\n")
+        elif line.strip():
+            errors.append(f"error: line {lineno}: not a p-value in [0, 1]: {line.strip()!r}\n")
+    assert len(rows) > 2700 and len(errors) > 100
+    assert (code, out, err) == (2, "".join(rows), "".join(errors))
+
+
+def test_undecodable_line_is_reported_as_text(tmp_path, capsys, monkeypatch):
+    raw = b"0.4\n\xff\n0.5\n"
+    (tmp_path / "p.txt").write_bytes(raw)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    argv = ["stream", "--alpha", "0.05"]
+    piped = run_cli(capsys, argv)
+    assert piped == (
+        2,
+        "t,alpha,lambda,reject,candidate\n1,0.00546863,0.5,0,1\n2,0.00546863,0.5,0,1\n",
+        "error: line 2: not a p-value in [0, 1]: '\\udcff'\n",
+    )
+    # a file is read as stdin is, not stopped at its first undecodable byte
+    assert run_cli(capsys, [*argv, "--input", str(tmp_path / "p.txt")]) == piped
+
+
+def _reply(stream, seconds=30.0):
+    ready, _, _ = select.select([stream], [], [], seconds)
+    assert ready, f"no reply within {seconds} s"
+    return stream.readline()
+
+
+def test_stream_replies_to_each_line_before_the_next():
+    # the gatekeeper protocol: a client writes one line and waits for its reply
+    pvalues = [0.001, 0.8, 0.03, 0.0004, 0.6, 0.2, 1.0, 0.0, 0.01, 0.04,
+               0.5, 0.002, 0.9, 0.3, 0.0001, 0.7, 0.02, 0.45, 0.005]
+    twin = Saffron(0.05, 0.025, G.from_spec("power:1.6"))
+    with subprocess.Popen(
+        [sys.executable, "-m", "onlinefdr.cli", "stream", "--alpha", "0.05", "--precision", "17"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    ) as proc:
+        try:
+            assert _reply(proc.stdout) == b"t,alpha,lambda,reject,candidate\n"
+            for i, p in enumerate(pvalues):
+                if i == 7:
+                    proc.stdin.write(b"oops\n")
+                    assert _reply(proc.stderr) == (
+                        b"error: line 8: not a p-value in [0, 1]: 'oops'\n"
+                    )
+                proc.stdin.write(f"{p!r}\n".encode())
+                r = twin.observe(p)
+                expected = f"{r.index},{r.alpha:.17g},{r.lam:.17g},{r.rejected:d},{r.candidate:d}\n"
+                assert _reply(proc.stdout) == expected.encode()
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 2
+            assert proc.stdout.read() == proc.stderr.read() == b""
+        finally:
+            proc.kill()
+
+
 def test_stream_takes_single_procedure(capsys):
     code, _, err = run_cli(capsys, ["stream", "--alpha", "0.05", "--procedure", "saffron,lord"])
     assert code == 1
@@ -255,6 +342,18 @@ def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported only where it is used (normal_sf, the beta-family tail)
     result = subprocess.run(
         [sys.executable, "-c", "import sys, onlinefdr.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only a sweep with --jobs > 1 needs the pool
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, onlinefdr.cli; print('concurrent.futures.process' in sys.modules)"],
         capture_output=True,
         text=True,
     )

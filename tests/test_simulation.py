@@ -236,7 +236,7 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     # two cells of one procedure share one batch: no pool at all
     base = base_config(trials=2)
     cfgs = grid(base, pi1_values=[0.2, 0.6], procedures=[base.procedure])
@@ -307,6 +307,7 @@ def aggregate_row(cfg):
 
 # Run in a fresh interpreter, where nothing has imported scipy yet.
 SWEEP_IMPORT_PROBE = """
+import concurrent.futures
 import sys
 from onlinefdr import simulation as S
 
@@ -323,7 +324,7 @@ class SerialPool:
     def map(self, fn, items):
         return map(fn, items)
 
-S.ProcessPoolExecutor = SerialPool
+concurrent.futures.ProcessPoolExecutor = SerialPool
 base = S.SimConfig(S.DataModel(S.GaussianMean(3.0), 0.5, 20), S.ProcedureSpec("lord", 0.05, 0.025), 1, 1)
 procs = [S.ProcedureSpec("lord", 0.05, 0.025), S.ProcedureSpec("saffron", 0.05, 0.025)]
 assert "scipy" not in sys.modules
