@@ -248,7 +248,7 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
             s["procedure"][0], s["alpha"], s["w0"], s["lambda"], s["gamma"][0]
         ).build()
         fmt = f".{s['precision']}g"
-        errors = index = 0
+        errors = 0
         pair = None
         with _opened(args.input, "rb", sys.stdin) as fin:
             out.write(f"{STREAM_HEADER}\n".encode())
@@ -259,14 +259,13 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
                     print(f"error: {p}", file=sys.stderr)
                     errors += 1
                     continue
+                index = proc.t
                 alpha_t, lam_t, rejected, candidate = proc._decide(p)
-                index += 1
                 if (alpha_t, lam_t) != pair:
                     # the record's check and the "alpha,lambda," text, once per level pair
                     validate_levels(alpha_t, lam_t)
                     pair = alpha_t, lam_t
-                    a = format(alpha_t, fmt)
-                    levels = f"{a},{a if lam_t == alpha_t else format(lam_t, fmt)},".encode()
+                    levels = f"{alpha_t:{fmt}},{lam_t:{fmt}},".encode()
                 out.write(b"%d,%b%d,%d\n" % (index, levels, rejected, candidate))
                 out.flush()
         return 2 if errors else 0

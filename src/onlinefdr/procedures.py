@@ -373,27 +373,21 @@ class AlphaInvesting(OnlineProcedure):
         self.alpha = float(alpha)
         self.gamma = gamma
         self.wealth = self.alpha
-        self._psi = gamma.head(1)  # gamma_t at [t - 1]; only _apply and _run grow it
 
     def next_level(self) -> tuple[float, float]:
-        a = investing_level(self._psi.item(self._t - 1) * self.wealth)
+        a = investing_level(self.gamma[self._t] * self.wealth)
         return a, a
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         if rejected:
             self.wealth += self.alpha
         else:
-            self.wealth -= self._psi.item(self._t - 1) * self.wealth
-        if self._t == len(self._psi):  # the next step reads one past the head
-            self._psi = self.gamma.head(2 * self._t)
+            self.wealth -= self.gamma[self._t] * self.wealth
 
     def _run(self, plist, alphas, lams):
         # gamma_t for the whole stretch from one head slice, not two lookups a step
         t0 = self._t - 1
-        t1 = t0 + len(plist)
-        if t1 >= len(self._psi):
-            self._psi = self.gamma.head(max(t1 + 1, 2 * len(self._psi)))
-        psi = map(float, self._psi[t0:t1])
+        psi = map(float, self.gamma.head(t0 + len(plist))[t0:])
         alpha, wealth = self.alpha, self.wealth
         for i, (p, g) in enumerate(zip(plist, psi)):
             pen = g * wealth

@@ -219,6 +219,14 @@ def test_undecodable_line_is_reported_as_text(tmp_path, capsys, monkeypatch):
     )
     # a file is read as stdin is, not stopped at its first undecodable byte
     assert run_cli(capsys, [*argv, "--input", str(tmp_path / "p.txt")]) == piped
+    # and, as on stdin, a bare \r does not end a line (a text-mode file used to
+    # give one p-value per \r)
+    (tmp_path / "cr.txt").write_bytes(b"0.1\r0.2\r")
+    assert run_cli(capsys, [*argv, "--input", str(tmp_path / "cr.txt")]) == (
+        2,
+        "t,alpha,lambda,reject,candidate\n",
+        "error: line 1: not a p-value in [0, 1]: '0.1\\r0.2'\n",
+    )
 
 
 def _reply(stream, seconds=30.0):

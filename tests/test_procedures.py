@@ -12,7 +12,6 @@ from onlinefdr.procedures import (
     AlphaInvesting,
     Lord,
     Saffron,
-    investing_level,
     make_procedure,
 )
 import replay_oracle as oracle
@@ -248,17 +247,6 @@ def test_alpha_investing_default_schedule_is_absolute_time(g2):
     a2, _ = proc.next_level()
     pen2 = g2[2] * proc.wealth  # schedule keeps marching with t, no reset
     assert a2 == pytest.approx(pen2 / (1 + pen2), rel=1e-12)
-
-
-def test_alpha_investing_reads_gamma_t_bit_for_bit_past_its_head(g16):
-    # gamma_t comes from a cached head that steps and runs grow
-    proc = AlphaInvesting(ALPHA, g16)
-    rng = np.random.default_rng(3)
-    for t, p in enumerate(rng.random(2500).tolist(), start=1):
-        assert proc.next_level()[0] == investing_level(g16[t] * proc.wealth)
-        proc.step(p)
-    proc.run(rng.random(3000))
-    assert proc.next_level()[0] == investing_level(g16[proc.t] * proc.wealth)
 
 
 @settings(max_examples=100, deadline=None)
