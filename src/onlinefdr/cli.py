@@ -222,19 +222,20 @@ def _read_pvalues(fin: IO[bytes]) -> Iterator[float | ValueError]:
 
 
 def _handle_sweep(args: argparse.Namespace, s: dict[str, Any]) -> int:
+    procs = [
+        ProcedureSpec(name, s["alpha"], s["w0"], s["lambda"], g)
+        for name in s["procedure"]
+        for g in s["gamma"]
+    ]
+    base = SimConfig(
+        model=DataModel(parse_model(s["model"]), s["pi1"][0], s["T"]),
+        procedure=procs[0],
+        trials=s["trials"],
+        seed=s["seed"],
+    )
+    rows = sweep(grid(base, s["pi1"], procs), jobs=s["jobs"])
+    # opened only now, so that a failed sweep leaves an existing file as it was
     with _opened(args.out, "w", sys.stdout) as out:
-        procs = [
-            ProcedureSpec(name, s["alpha"], s["w0"], s["lambda"], g)
-            for name in s["procedure"]
-            for g in s["gamma"]
-        ]
-        base = SimConfig(
-            model=DataModel(parse_model(s["model"]), s["pi1"][0], s["T"]),
-            procedure=procs[0],
-            trials=s["trials"],
-            seed=s["seed"],
-        )
-        rows = sweep(grid(base, s["pi1"], procs), jobs=s["jobs"])
         write_csv(rows, out, precision=s["precision"])
         return 0
 
@@ -243,14 +244,15 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
     """Decide each line as ``observe`` would, through ``_decide`` (no record),
     and print it as bytes; a level pair is checked and formatted only when it
     differs from the last one (saffron's holds until a tick or a rejection)."""
-    with _opened(args.out, "wb", sys.stdout) as out:
-        proc = ProcedureSpec(
-            s["procedure"][0], s["alpha"], s["w0"], s["lambda"], s["gamma"][0]
-        ).build()
-        fmt = f".{s['precision']}g"
-        errors = 0
-        pair = None
-        with _opened(args.input, "rb", sys.stdin) as fin:
+    proc = ProcedureSpec(
+        s["procedure"][0], s["alpha"], s["w0"], s["lambda"], s["gamma"][0]
+    ).build()
+    fmt = f".{s['precision']}g"
+    errors = 0
+    pair = None
+    # --out is opened last, so that a failed set-up leaves an existing file as it was
+    with _opened(args.input, "rb", sys.stdin) as fin:
+        with _opened(args.out, "wb", sys.stdout) as out:
             out.write(f"{STREAM_HEADER}\n".encode())
             out.flush()
             # each decision is printed (and flushed) before the next input line is read

@@ -30,8 +30,9 @@ Implemented procedures:
 
 The first three share one payout kernel on a clock of non-candidate steps
 (see ``_GammaInvesting``): a candidate step and a rejection that does not
-tick cost O(1), a tick one O(clock) contiguous dot product, and ``run``
-re-reads the level only after a tick or a rejection.  The level rules
+tick cost O(1), a tick past a weighted slot an O(2048) update of cached
+payouts, and each 2048 clock values one matrix product; ``run`` re-reads
+the level only after a tick or a rejection.  The level rules
 :func:`saffron_level` and :func:`investing_level` are written once and serve
 both the scalar machine and the batched kernel.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .gamma import GammaSequence
 from .records import DecisionRecord, StreamTrace, validate_pvalue, validate_pvalues
@@ -187,6 +188,14 @@ class OnlineProcedure:
 # on how far the other rows' clocks have run.
 _SLOT_BLOCK = 64
 
+# The scalar payout cache's superblocks span 256, 256, 512, 1024, then 2048
+# clock values, which bounds a closed slot's update; its far-field product has
+# rows of _ROW values and is summed over chunks of _CHUNK (3 MB of copies).
+_FIRST = 256
+_SUPERBLOCK = 2048
+_ROW = 64
+_CHUNK = 4096
+
 
 class _GammaInvesting(OnlineProcedure):
     """The payout kernel shared by saffron, saffron-ai and lord.
@@ -197,10 +206,15 @@ class _GammaInvesting(OnlineProcedure):
     between tau_j and t (none for lord).  A clock ticks on every non-candidate
     step (every step for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j):
     a rejection adds its weight at slot ``clock`` of one dense array, merging
-    with windows opened at the same clock value.  s_t is base + W[clock] *
-    gamma_1, where base, one contiguous dot of the older slots with the
-    reversed gamma head, is cached until the next tick: a rejection that does
-    not tick (every saffron and saffron-ai rejection) costs O(1).  Subclasses
+    with windows opened at the same clock value.  s_t is base[clock] +
+    W[clock] * gamma_1, where base[c] sums the slots before c, so a rejection
+    that does not tick (every saffron and saffron-ai rejection) costs O(1).
+    ``_s`` caches base over a superblock [c0, c0 + n) of clock values, as
+    [first open slot k, base[k], c0, base, gamma head, alpha * gamma head]:
+    one matrix product (``_far_field``) pays the final slots before c0 out to
+    all n values, and each later slot adds its window to the rest once the
+    clock has passed it.  ``next_level`` makes both updates lazily and in
+    slot order, so the levels do not depend on when it is called.  Subclasses
     turn s_t into the level pair in ``_levels``, which both the scalar machine
     and the batched kernel call.
     """
@@ -215,8 +229,8 @@ class _GammaInvesting(OnlineProcedure):
         self._nrej = 0
         self._weights = np.zeros(1024)
         self._weights[0] = self.w0
-        self._grev = gamma.head(1024)[::-1].copy()
-        self._s: float | None = None
+        self._g1 = gamma[1]
+        self._s = self._far_field(0)
 
     def _levels(self, s, minimum=min):
         """The (alpha_t, lambda_t) pair at payout s (floats, or arrays with np.minimum)."""
@@ -226,11 +240,44 @@ class _GammaInvesting(OnlineProcedure):
         return self._levels(self._payout())
 
     def _payout(self) -> float:
-        c = self._clock
-        if self._s is None:
-            L = len(self._grev)
-            self._s = float(self._weights[:c] @ self._grev[L - 1 - c : L - 1])
-        return self._s + self._weights.item(c) * self._grev.item(-1)
+        c, s = self._clock, self._s
+        if s[0] < c:  # slots s[0] .. c - 1 have closed since the last call
+            k, _, c0, base, g, ag = s
+            if c >= c0 + len(base):
+                k, _, c0, base, g, ag = s = self._s = self._far_field(c)
+            w, alpha = self._weights, self.alpha
+            for k in range(k, c):
+                wk = w.item(k)
+                # ag holds the products wk * g for the commonest weight: every
+                # lord slot and each saffron slot with one rejection
+                if wk == alpha:
+                    base[k + 1 - c0 :] += ag[1 : c0 + len(base) - k]
+                elif wk:
+                    base[k + 1 - c0 :] += wk * g[1 : c0 + len(base) - k]
+            s[0], s[1] = c, base.item(c - c0)
+        return s[1] + self._weights.item(c) * self._g1
+
+    def _far_field(self, c: int) -> list:
+        """A fresh cache for the superblock holding clock value c: far[a * _ROW
+        + b] = sum_v X[a, v] G[v, b], with X[a, v] = Wrev[v - a * _ROW] the
+        reversed slots before c0 and G[v, b] = gamma_{2 + v + b}, both strided
+        views copied (BLAS takes only unit strides), _CHUNK values of v at a time."""
+        if c >= _SUPERBLOCK:
+            c0 = c - c % _SUPERBLOCK
+        else:
+            c0 = 1 << c.bit_length() - 1 if c >= _FIRST else 0
+        n = min(max(c0, _FIRST), _SUPERBLOCK)
+        g = self.gamma.head(c0 + n)
+        far = np.zeros((n // _ROW, _ROW))
+        span = c0 + n - _ROW if c0 else 0  # X[a, v] = 0 for v >= span
+        wrev = np.zeros(span + n - _ROW)
+        wrev[n - _ROW : n - _ROW + c0] = self._weights[:c0][::-1]
+        d = g.strides[0]
+        for v in range(0, span, _CHUNK):
+            m = min(_CHUNK, span - v)
+            x = as_strided(wrev[v + n - _ROW :], (n // _ROW, m), (-_ROW * d, d))
+            far += np.array(x) @ np.array(as_strided(g[1 + v :], (m, _ROW), (d, d)))
+        return [c0, far.item(0), c0, far.ravel(), g, self.alpha * g[:n]]
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         # Tick before placing the weight: lord's rejection step ticks, so its
@@ -239,8 +286,6 @@ class _GammaInvesting(OnlineProcedure):
             self._clock += 1
             if self._clock == len(self._weights):
                 self._weights = np.concatenate([self._weights, np.zeros_like(self._weights)])
-                self._grev = self.gamma.head(len(self._weights))[::-1].copy()
-            self._s = None
         if rejected:
             self._nrej += 1
             self._weights[self._clock] += self.alpha - self.w0 if self._nrej == 1 else self.alpha
@@ -248,14 +293,15 @@ class _GammaInvesting(OnlineProcedure):
     def _run(self, plist, alphas, lams):
         # Only a tick or a rejection changes the level pair; a saffron
         # candidate that is not rejected changes nothing but t.
-        ticks = self._ticks_on_candidates
-        a, lam = self.next_level()
+        ticks, apply = self._ticks_on_candidates, self._apply
+        levels, payout = self._levels, self._payout  # next_level without its own call
+        a, lam = levels(payout())
         for i, p in enumerate(plist):
             alphas[i], lams[i] = a, lam
             r, c = p <= a, p <= lam
             if r or ticks or not c:
-                self._apply(r, c)
-                a, lam = self.next_level()
+                apply(r, c)
+                a, lam = levels(payout())
         self._t += len(plist)
 
     def _run_batch(self, pt):

@@ -72,6 +72,23 @@ def test_sweep_out_file(tmp_path, capsys):
     assert out.read_text().startswith("procedure,gamma,")
 
 
+UNDERFLOW = ("error: raw weights for 'power:60.0' underflow to zero by index 10000000; "
+             "the sequence would not be positive\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["stream", "--alpha", "0.05", "--gamma", "power:60"], UNDERFLOW),
+    (["stream", "--alpha", "0.05", "--input", "nope.txt"],
+     "error: [Errno 2] No such file or directory: 'nope.txt'\n"),
+    (["sweep", "--alpha", "0.05", "--gamma", "power:60", "--T", "10", "--trials", "1"], UNDERFLOW),
+], ids=["stream-gamma", "stream-input", "sweep-gamma"])
+def test_failed_setup_leaves_the_out_file(argv, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_bytes(b"12345678")
+    assert run_cli(capsys, [*argv, "--out", "o.csv"], "0.01\n", monkeypatch) == (2, "", err)
+    assert (tmp_path / "o.csv").read_bytes() == b"12345678"
+
+
 def test_config_file_supplies_values_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -104,16 +104,16 @@ def test_random_histories_match_replay_oracle(head, gap, tail, w0, name, g16):
 BLAS_PROBE = """
 import sys
 import numpy as np
-from onlinefdr import Lord, from_spec
-trace = Lord(0.05, 0.025, from_spec("power:1.6")).run(np.load(sys.argv[1]))
-np.savez(sys.argv[2], alpha=trace.alpha, rejected=trace.rejected)
+from onlinefdr import Lord, Saffron, from_spec
+g, p = from_spec("power:1.6"), np.load(sys.argv[1])
+lord, saffron = Lord(0.05, 0.025, g).run(p), Saffron(0.05, 0.025, g, 0.5).run(p)
+np.savez(sys.argv[2], lord=lord.alpha, saffron=saffron.alpha)
 """
 
 
 def test_long_lord_stream_decides_alike_on_one_blas_thread(g16, tmp_path):
-    # OpenBLAS may split a dot of more than 10 000 terms across threads and
-    # add them in another order: past t = 10 000 the levels may move in their
-    # last bits, the decisions must not
+    # OpenBLAS may split a product across threads, but only along its output
+    # dimensions: each payout adds its terms in one order on any thread count
     rng = np.random.default_rng(31)
     u = rng.random((3, 12_000))
     np.save(tmp_path / "p.npy", np.where(u[0] < 0.3, u[1] ** 8, u[2]))
@@ -124,8 +124,64 @@ def test_long_lord_stream_decides_alike_on_one_blas_thread(g16, tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    trace = Lord(ALPHA, ALPHA / 2, g16).run(np.load(tmp_path / "p.npy"))
-    assert trace.rejected[10_000:].any()
+    pvalues = np.load(tmp_path / "p.npy")
+    lord = Lord(ALPHA, ALPHA / 2, g16)
+    saffron = Saffron(ALPHA, ALPHA / 2, g16, LAM)
+    traces = {"lord": lord.run(pvalues), "saffron": saffron.run(pvalues)}
+    assert traces["lord"].rejected[10_000:].any()
+    assert lord._clock > 4096 and saffron._clock > 4096  # past two full-size superblocks
     with np.load(tmp_path / "one.npz") as one:
-        assert one["rejected"].tolist() == trace.rejected.tolist()
-        np.testing.assert_allclose(one["alpha"], trace.alpha, rtol=1e-12, atol=0)
+        for name, trace in traces.items():
+            assert one[name].tolist() == trace.alpha.tolist(), name
+
+
+# Clock values at which the kernel starts a new superblock of its payout cache.
+BOUNDARIES = (256, 512, 1024, 2048, 4096)
+STRETCHES = ((700, 0.01), (40, 0.9), (900, 0.01), (40, 0.9), (1500, 0.01), (40, 0.9), (1200, 0.01))
+
+
+def stretched_stream():
+    """Sparse stretches (pi1 = 0.01) between dense ones (pi1 = 0.9), 4420 steps."""
+    rng = np.random.default_rng(41)
+    pi1 = np.concatenate([np.full(n, pi) for n, pi in STRETCHES])
+    u = rng.random((2, len(pi1)))
+    return np.where(u[0] < pi1, u[1] ** 20, rng.random(len(pi1)))
+
+
+def oracle_levels(name, R, C, gam):
+    if name == "lord":
+        a = oracle.lord_level(R, ALPHA, ALPHA / 2, gam)
+        return a, a
+    if name == "saffron":
+        return oracle.saffron_levels(R, C, ALPHA, ALPHA / 2, gam, LAM)
+    return oracle.saffron_ai_levels(R, C, ALPHA, ALPHA / 2, gam)
+
+
+@pytest.mark.parametrize("name", PROCEDURES)
+def test_superblock_boundaries(name, g16):
+    pvalues = stretched_stream()
+    driven = build(name, ALPHA / 2, g16)
+    stepwise = [driven.observe(p) for p in pvalues.tolist()]
+    R = [r.rejected for r in stepwise]
+    C = [r.candidate for r in stepwise]
+    # clock[i]: the clock when step i + 1 is decided
+    ticks = np.ones(len(R), dtype=int) if name == "lord" else ~np.array(C)
+    clock = np.concatenate([[0], np.cumsum(ticks)])[:-1]
+    crossed = [b for b in BOUNDARIES if b <= clock[-1]]
+    assert len(crossed) >= 3
+    # levels against the oracle at the first and the last clock value of each superblock
+    for value in sorted({0, *(b - 1 for b in crossed), *crossed, clock[-1]}):
+        i = int(np.argmax(clock == value))
+        expected = oracle_levels(name, R[:i], C[:i], g16)
+        assert (stepwise[i].alpha, stepwise[i].lam) == pytest.approx(expected, rel=1e-12), value
+    for b in crossed:
+        first = int(np.argmax(clock == b))
+        for split in (first - 1, first, first + 1):
+            proc = build(name, ALPHA / 2, g16)
+            pieces = [proc.run(pvalues[:split]), proc.run(pvalues[split:])]
+            for field in ("alpha", "lam", "rejected", "candidate"):
+                ran = np.concatenate([getattr(piece, field) for piece in pieces])
+                assert ran.tolist() == [getattr(r, field) for r in stepwise], (split, field)
+            replayed = build(name, ALPHA / 2, g16)
+            replayed.load_history(R[:split], C[:split])
+            assert replayed.next_level() == (stepwise[split].alpha, stepwise[split].lam), split
