@@ -248,8 +248,8 @@ class _GammaInvesting(OnlineProcedure):
             w, alpha = self._weights, self.alpha
             for k in range(k, c):
                 wk = w.item(k)
-                # ag holds the products wk * g for the commonest weight: every
-                # lord slot and each saffron slot with one rejection
+                # ag = alpha * g, formed once a superblock: alpha is the weight
+                # of most lord slots and of each saffron slot with one rejection
                 if wk == alpha:
                     base[k + 1 - c0 :] += ag[1 : c0 + len(base) - k]
                 elif wk:

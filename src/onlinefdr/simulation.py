@@ -179,7 +179,7 @@ _BATCH_TRIAL_STEPS = 256_000
 # With fewer rows than this, run_batch decides a batch more slowly than run()
 # decides its trials one at a time.  On 2 vCPUs the crossover, at T = 1000
 # and at T = 8000, was 16-24 and 24-32 rows for alpha-investing, 16-24 and
-# 16-24 for saffron, 12-24 and over 48 for saffron-ai (each batched row pays
+# 16-24 for saffron, 8-24 and over 48 for saffron-ai (each batched row pays
 # for the batch's longest clock), and 8 or fewer and 8-16 for lord.
 # Smaller batches, such as a cell of a few trials or any batch of streams
 # longer than 10 666 steps, are therefore decided one trial at a time.
