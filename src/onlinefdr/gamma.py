@@ -16,8 +16,10 @@ Euler-Maclaurin tail ``int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12``, with the
 family's tail integral and f' taken as the central difference
 ``(f(N+2) - f(N)) / 2``, summed in one ``math.fsum``.  For the power law this
 is ``zeta(s)`` to within an ulp or so; a build takes a few milliseconds.  Raw
-weights are forced non-increasing by a running minimum before normalizing;
-this only matters for ``beta_optimal`` at very small j.
+weights are forced non-increasing by a running minimum, which only matters
+for ``beta_optimal`` at very small j.  A sequence caches gamma_j itself: each
+stretch of weights is divided by the normalizer once, when the cache grows,
+so every read is a plain lookup.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ class GammaSequence:
 
     Indices are 1-based, matching the allocation formulas of the online
     procedures.  Instances are immutable after construction apart from an
-    internal cache of repaired raw weights, whose growth is lock-protected;
-    concurrent reads are safe.  Values are those weights over the normalizer.
+    internal cache of gamma values, whose growth is lock-protected;
+    concurrent reads are safe.  A value is the running minimum of the raw
+    weights over the normalizer; dividing by a positive constant keeps their
+    order, so the cache takes the running minimum of the divided weights.
     """
 
     def __init__(self, spec: str, raw: Raw, tail_integral: Tail):
@@ -64,21 +68,21 @@ class GammaSequence:
         self._spec = spec
         self._raw = raw
         self._lock = threading.Lock()
-        self._repaired = np.empty(0)
-        # the summed head is the cache's first stretch, repaired as later growth is
-        self._extend(_TRUNCATION)
+        head = raw(np.arange(1, _TRUNCATION + 1, dtype=np.float64))
+        np.minimum.accumulate(head, out=head)
         f_n, f_next, f_after = (_raw_at(raw, _TRUNCATION + k) for k in range(3))
         # The tail estimate assumes the raw weights are already non-increasing
         # beyond the truncation point, i.e. the running minimum has caught up.
-        if not math.isclose(float(self._repaired[-1]), f_n, rel_tol=1e-12):
+        if not math.isclose(float(head[-1]), f_n, rel_tol=1e-12):
             raise ValueError(
                 f"raw weights for {spec!r} are not non-increasing near the "
                 f"truncation point; tail estimate would be invalid"
             )
         # Euler-Maclaurin: sum_{j>N} f(j) ~ int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12,
         # with f'(N+1) ~ (f(N+2) - f(N)) / 2.
-        self._normalizer = math.fsum([*self._repaired.tolist(), tail_integral(_TRUNCATION + 1.0),
+        self._normalizer = math.fsum([*head.tolist(), tail_integral(_TRUNCATION + 1.0),
                                       0.5 * f_next, (f_n - f_after) / 24.0])
+        self._gamma = np.divide(head, self._normalizer, out=head)  # the cache's first stretch
 
     @property
     def spec(self) -> str:
@@ -92,15 +96,14 @@ class GammaSequence:
 
     def _extend(self, upto: int) -> None:
         with self._lock:
-            n = len(self._repaired)
+            n = len(self._gamma)
             if upto <= n:
                 return
             new_n = max(upto, 2 * n)
-            v = self._raw(np.arange(n + 1, new_n + 1, dtype=np.float64))
-            if n and v[0] > self._repaired[-1]:
-                v[0] = self._repaired[-1]
+            v = self._raw(np.arange(n + 1, new_n + 1, dtype=np.float64)) / self._normalizer
+            v[0] = min(v[0], self._gamma[-1])
             np.minimum.accumulate(v, out=v)
-            self._repaired = np.concatenate([self._repaired, v])
+            self._gamma = np.concatenate([self._gamma, v])
 
     def at(self, indices) -> np.ndarray:
         """Vector of gamma values at the given 1-based indices, an integer array-like."""
@@ -109,24 +112,24 @@ class GammaSequence:
         if low < 1:
             raise IndexError(f"gamma index must be >= 1, got {low}")
         top = int(idx.max(initial=0))
-        if top > len(self._repaired):
+        if top > len(self._gamma):
             self._extend(top)
-        return self._repaired[idx - 1] / self._normalizer
+        return self._gamma[idx - 1]
 
     def __getitem__(self, j: int) -> float:
         if j < 1:
             raise IndexError(f"gamma index must be >= 1, got {j}")
-        if j > len(self._repaired):
+        if j > len(self._gamma):
             self._extend(j)
-        return float(self._repaired[j - 1]) / self._normalizer
+        return float(self._gamma[j - 1])
 
     def head(self, n: int) -> np.ndarray:
         """The first n values as a new array."""
         if n < 0:
             raise IndexError(f"gamma head length must be >= 0, got {n}")
-        if n > len(self._repaired):
+        if n > len(self._gamma):
             self._extend(n)
-        return self._repaired[:n] / self._normalizer
+        return self._gamma[:n].copy()
 
     def __repr__(self) -> str:
         return f"GammaSequence({self._spec!r})"

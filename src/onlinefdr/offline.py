@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,13 +40,17 @@ def _validated(pvalues: Sequence[float], alpha: float | None = None) -> np.ndarr
     return p
 
 
-def _best_threshold(p: np.ndarray, alpha: float, scale: float) -> float:
-    """Largest s among the observed p-values with n*s*scale/|R(s)| <= alpha.
+def _step_up(pvalues: Sequence[float], alpha: float, scale_of: Callable) -> OfflineResult:
+    """Reject at the largest s among the observed p-values with
+    n*s*scale/|R(s)| <= alpha, where scale = ``scale_of(p)`` on the validated
+    p-values p.
 
     The comparison n*s*scale <= alpha*|R(s)| is exact on the binary64 inputs:
     the rounded products decide it unless they lie within a few ulps of each
     other, and those near-ties are decided in rationals.
     """
+    p = _validated(pvalues, alpha)
+    scale = scale_of(p)
     n = len(p)
     ps = np.sort(p)
     # with ties, |R(p_(k))| is the rank of the last equal value
@@ -57,16 +61,13 @@ def _best_threshold(p: np.ndarray, alpha: float, scale: float) -> float:
     near = np.abs(lhs - rhs) <= _NEAR_ULPS * np.maximum(lhs, rhs) + _NEAR_ABS
     for k in np.flatnonzero(near):
         ok[k] = n * Fraction(ps[k]) * Fraction(scale) <= Fraction(alpha) * int(ranks[k])
-    if not ok.any():
-        return 0.0
-    return float(ps[ok][-1])
+    s = float(ps[ok][-1]) if ok.any() else 0.0
+    return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))
 
 
 def bh(pvalues: Sequence[float], alpha: float) -> OfflineResult:
     """Step-up control of the FDR at level alpha."""
-    p = _validated(pvalues, alpha)
-    s = _best_threshold(p, alpha, scale=1.0)
-    return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))
+    return _step_up(pvalues, alpha, lambda p: 1.0)
 
 
 def _pi0(p: np.ndarray, lam: float) -> float:
@@ -82,6 +83,4 @@ def storey_pi0(pvalues: Sequence[float], lam: float) -> float:
 
 def storey_bh(pvalues: Sequence[float], alpha: float, lam: float = 0.5) -> OfflineResult:
     """Adaptive step-up: BH scaled by the estimated null fraction."""
-    p = _validated(pvalues, alpha)
-    s = _best_threshold(p, alpha, scale=_pi0(p, lam))
-    return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))
+    return _step_up(pvalues, alpha, lambda p: _pi0(p, lam))

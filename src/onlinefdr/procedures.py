@@ -50,12 +50,17 @@ from .gamma import GammaSequence
 from .records import DecisionRecord, StreamTrace, validate_pvalue, validate_pvalues
 
 
-def _check_params(alpha: float, w0: float) -> tuple[float, float]:
+def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
+    return float(alpha)
+
+
+def _check_params(alpha: float, w0: float) -> tuple[float, float]:
+    alpha = _check_alpha(alpha)
     if not 0.0 < w0 <= alpha:
         raise ValueError(f"initial wealth must lie in (0, alpha], got {w0}")
-    return float(alpha), float(w0)
+    return alpha, float(w0)
 
 
 def saffron_level(s, lam, minimum=min):
@@ -147,20 +152,20 @@ class OnlineProcedure:
         ``run`` returns.  A row's decisions do not depend on which other rows
         share the batch.  They match ``run`` on that row, the levels to
         rounding: the batched payout sum adds its terms in another order.
-        The traces read their p-values from the kernel's own (T, B) copy.
+        The traces read their p-values from the kernel's own (T, B) copy, and
+        their bits are derived from the levels, as ``run`` derives them.
         """
         pt = np.array(validate_pvalues(pvalues, 2).T, order="C")
-        alphas, lams, rejected, candidate = self._run_batch(pt)
+        alphas, lams = self._run_batch(pt)
+        rejected, candidate = pt <= alphas, pt <= lams
         return [
             StreamTrace(pt[:, i], alphas[:, i], lams[:, i], rejected[:, i], candidate[:, i])
             for i in range(pt.shape[1])
         ]
 
-    def _run_batch(
-        self, pt: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Levels, thresholds and bits as four (T, B) arrays, no two sharing
-        memory, for the (T, B) p-values ``pt``."""
+    def _run_batch(self, pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Levels and thresholds as two (T, B) arrays, not sharing memory,
+        for the (T, B) p-values ``pt``."""
         raise NotImplementedError
 
     def load_history(self, rejected: Sequence[bool], candidate: Sequence[bool]) -> None:
@@ -210,10 +215,11 @@ class _GammaInvesting(OnlineProcedure):
     W[clock] * gamma_1, where base[c] sums the slots before c, so a rejection
     that does not tick (every saffron and saffron-ai rejection) costs O(1).
     ``_s`` caches base over a superblock [c0, c0 + n) of clock values, as
-    [first open slot k, base[k], c0, base, gamma head, alpha * gamma head]:
-    one matrix product (``_far_field``) pays the final slots before c0 out to
-    all n values, and each later slot adds its window to the rest once the
-    clock has passed it.  ``next_level`` makes both updates lazily and in
+    [first open slot k, base[k], c0, base]: one matrix product
+    (``_far_field``) pays the final slots before c0 out to all n values, and
+    each later slot adds its window to the rest once the clock has passed it,
+    from the gamma row ``_g`` and its alpha multiple ``_ag``, both formed
+    once per machine.  ``next_level`` makes both updates lazily and in
     slot order, so the levels do not depend on when it is called.  Subclasses
     turn s_t into the level pair in ``_levels``, which both the scalar machine
     and the batched kernel call.
@@ -230,6 +236,10 @@ class _GammaInvesting(OnlineProcedure):
         self._weights = np.zeros(1024)
         self._weights[0] = self.w0
         self._g1 = gamma[1]
+        self._g = gamma.head(_SUPERBLOCK)
+        # alpha is the weight of most lord slots and of each saffron slot
+        # with one rejection
+        self._ag = self.alpha * self._g
         self._s = self._far_field(0)
 
     def _levels(self, s, minimum=min):
@@ -242,18 +252,16 @@ class _GammaInvesting(OnlineProcedure):
     def _payout(self) -> float:
         c, s = self._clock, self._s
         if s[0] < c:  # slots s[0] .. c - 1 have closed since the last call
-            k, _, c0, base, g, ag = s
+            k, _, c0, base = s
             if c >= c0 + len(base):
-                k, _, c0, base, g, ag = s = self._s = self._far_field(c)
+                k, _, c0, base = s = self._s = self._far_field(c)
             w, alpha = self._weights, self.alpha
             for k in range(k, c):
                 wk = w.item(k)
-                # ag = alpha * g, formed once a superblock: alpha is the weight
-                # of most lord slots and of each saffron slot with one rejection
                 if wk == alpha:
-                    base[k + 1 - c0 :] += ag[1 : c0 + len(base) - k]
+                    base[k + 1 - c0 :] += self._ag[1 : c0 + len(base) - k]
                 elif wk:
-                    base[k + 1 - c0 :] += wk * g[1 : c0 + len(base) - k]
+                    base[k + 1 - c0 :] += wk * self._g[1 : c0 + len(base) - k]
             s[0], s[1] = c, base.item(c - c0)
         return s[1] + self._weights.item(c) * self._g1
 
@@ -277,7 +285,7 @@ class _GammaInvesting(OnlineProcedure):
             m = min(_CHUNK, span - v)
             x = as_strided(wrev[v + n - _ROW :], (n // _ROW, m), (-_ROW * d, d))
             far += np.array(x) @ np.array(as_strided(g[1 + v :], (m, _ROW), (d, d)))
-        return [c0, far.item(0), c0, far.ravel(), g, self.alpha * g[:n]]
+        return [c0, far.item(0), c0, far.ravel()]
 
     def _apply(self, rejected: bool, candidate: bool) -> None:
         # Tick before placing the weight: lord's rejection step ticks, so its
@@ -320,7 +328,6 @@ class _GammaInvesting(OnlineProcedure):
         clock = np.zeros(B, dtype=np.intp)
         has_rejected = np.zeros(B, dtype=bool)
         alphas, lams = np.empty((T, B)), np.empty((T, B))
-        rejected, candidate = np.empty((T, B), dtype=bool), np.empty((T, B), dtype=bool)
         for t in range(T):
             if self._ticks_on_candidates:  # one shared clock, equal to t
                 k = -(-(t + 1) // _SLOT_BLOCK) * _SLOT_BLOCK
@@ -328,22 +335,17 @@ class _GammaInvesting(OnlineProcedure):
             else:
                 k = -(-(int(clock.max(initial=0)) + 1) // _SLOT_BLOCK) * _SLOT_BLOCK
                 s = np.einsum("ij,ij->i", weights[:, :k], windows[n - 1 - clock, :k])
-            a, lam = self._levels(s, np.minimum)
+            alphas[t], lams[t] = a, lam = self._levels(s, np.minimum)
             p = pt[t]
-            r = p <= a
-            c = p <= lam
-            alphas[t], lams[t], rejected[t], candidate[t] = a, lam, r, c
-            if self._ticks_on_candidates:
-                clock += 1
-            else:
-                clock += ~c
-            rows = np.flatnonzero(r)
+            # tick before placing the weight, as ``_apply`` does
+            clock += 1 if self._ticks_on_candidates else p > lam
+            rows = np.flatnonzero(p <= a)
             if rows.size:
                 weights[rows, clock[rows]] += np.where(
                     has_rejected[rows], self.alpha, self.alpha - self.w0
                 )
                 has_rejected[rows] = True
-        return alphas, lams, rejected, candidate
+        return alphas, lams
 
 
 class Saffron(_GammaInvesting):
@@ -414,9 +416,7 @@ class AlphaInvesting(OnlineProcedure):
 
     def __init__(self, alpha: float, gamma: GammaSequence):
         super().__init__()
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = _check_alpha(alpha)
         self.gamma = gamma
         self.wealth = self.alpha
 
@@ -452,14 +452,11 @@ class AlphaInvesting(OnlineProcedure):
         psi = self.gamma.head(T)
         wealth = np.full(B, self.alpha)
         alphas = np.empty((T, B))
-        rejected = np.empty((T, B), dtype=bool)
         for t in range(T):
             pen = psi[t] * wealth
-            a = investing_level(pen)
-            r = pt[t] <= a
-            alphas[t], rejected[t] = a, r
-            wealth = np.where(r, wealth + self.alpha, wealth - pen)
-        return alphas, alphas.copy(), rejected, rejected.copy()
+            alphas[t] = a = investing_level(pen)
+            wealth = np.where(pt[t] <= a, wealth + self.alpha, wealth - pen)
+        return alphas, alphas.copy()
 
 
 _CONSTRUCTORS = {

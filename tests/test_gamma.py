@@ -194,6 +194,17 @@ def test_head_length_below_zero_rejected(power16):
     assert power16.head(0).shape == (0,)
 
 
+def test_a_head_belongs_to_its_caller():
+    # from_spec shares one cached sequence among all procedures built from a
+    # spec, and the cache holds final values: a head must be a copy
+    seq = G.from_spec("power:1.6")
+    first, vector, before = seq[1], seq.at([1]), seq.head(10)
+    seq.head(10)[:] = -1.0
+    assert seq[1] == first
+    assert seq.at([1]).tolist() == vector.tolist()
+    assert seq.head(10).tolist() == before.tolist()
+
+
 def test_vector_lookup_takes_any_integer_array_like(power16):
     assert power16.at([4000, 1]).tolist() == [power16[4000], power16[1]]
     empty = power16.at(np.array([], dtype=np.int64))

@@ -4,8 +4,9 @@ Histories are built from segments: a gap of non-candidate steps (each one a
 clock tick for the saffron family) followed by a run of rejections ("R") or
 of candidates that are not rejections ("C").  Runs of rejections on candidate
 steps share one clock slot, a history that starts with "R" places the first
-rejection before any tick (merging it with W0), and the long gap pushes the
-clock past the kernel's initial 1024-slot buffers.
+rejection before any tick (merging it with W0), and the long gaps push the
+clock past the kernel's initial 1024-slot buffers and past the 1e5-term head
+that the gamma normalizer sums.
 """
 
 import os
@@ -72,6 +73,7 @@ EDGE_HISTORIES = {
     "candidates-only": [(2, "C", 3), (1, "C", 1)],
     "past-1024-ticks": [(3, "R", 1), (LONG_GAP, "C", 2), (40, "R", 2), (5, "R", 1)],
     "rejection-burst-after-1024-ticks": [(0, "R", 2), (LONG_GAP, "R", 3)],
+    "past-the-gamma-head": [(3, "R", 1), (110_000, "C", 2), (40, "R", 2), (5, "R", 1)],
 }
 
 

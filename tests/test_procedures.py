@@ -491,6 +491,9 @@ def test_constructor_validation(g2):
     with pytest.raises(ValueError):
         Saffron(ALPHA, W0, g2, lam=1.0)
     Saffron(ALPHA, ALPHA, g2)  # w0 == alpha is allowed
+    for alpha in (1.0, 0.0):
+        with pytest.raises(ValueError, match="target FDR level"):
+            AlphaInvesting(alpha, g2)
 
 
 @settings(max_examples=40, deadline=None)
