@@ -13,17 +13,18 @@ A family is its raw weights and their analytic tail integral, listed once in
 table for the constructors and for spec text (``power:1.6``, ``beta:0.5``).
 Normalization is numeric: the first 1e5 raw weights (``_TRUNCATION``) plus the
 Euler-Maclaurin tail ``int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12``, with the
-family's tail integral and f' taken as the central difference
-``(f(N+2) - f(N)) / 2``, summed in one ``math.fsum``.  For the power law this
-is ``zeta(s)`` to within an ulp or so; a build takes a few milliseconds.  Raw
-weights are forced non-increasing by a running minimum, which only matters
-for ``beta_optimal`` at very small j.  A sequence caches gamma_j itself: each
-stretch of weights is divided by the normalizer once, when the cache grows,
-so every read is a plain lookup.
+family's tail integral and f' the central difference ``(f(N+2) - f(N)) / 2``,
+streamed a stretch at a time into one exactly rounded ``math.fsum``: a build
+takes a few milliseconds and holds no 1e5-term array.  For the power law the
+sum is ``zeta(s)`` to within an ulp or so.  Raw weights are forced
+non-increasing by a running minimum, which only matters for ``beta_optimal``
+at very small j.  A sequence caches gamma_j only as far as it has been read,
+each stretch divided by the normalizer once, so a cached read is a lookup.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from functools import lru_cache
@@ -36,6 +37,7 @@ Tail = Callable[[float], float]
 
 # The normalizer sums this many raw weights, then adds the tail estimate.
 _TRUNCATION = 100_000
+_STRETCH = 4096  # raw weights computed at a time, for the normalizer
 
 # Raw weights must stay positive at least this far out: a float64 weight
 # that underflows is zero from there on.
@@ -46,15 +48,23 @@ def _raw_at(raw: Raw, j: int) -> float:
     return float(raw(np.array([float(j)]))[0])
 
 
+def _running_min(raw: Raw, lo: int, hi: int, before: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Raw weights lo..hi-1 over scale, as a running minimum continuing ``before``."""
+    v = raw(np.arange(lo, hi, dtype=np.float64)) / scale
+    v[0] = np.min(before[-1:], initial=v[0])
+    return np.minimum.accumulate(v, out=v)
+
+
 class GammaSequence:
     """A positive non-increasing sequence summing to one, lazily evaluated.
 
     Indices are 1-based, matching the allocation formulas of the online
     procedures.  Instances are immutable after construction apart from an
     internal cache of gamma values, whose growth is lock-protected;
-    concurrent reads are safe.  A value is the running minimum of the raw
-    weights over the normalizer; dividing by a positive constant keeps their
-    order, so the cache takes the running minimum of the divided weights.
+    concurrent reads are safe.  The cache starts empty and grows as values
+    are read.  A value is the running minimum of the raw weights over the
+    normalizer.  A positive divisor keeps their order, so the normalizer's sum
+    (before the division) and the cache (after it) share one helper.
     """
 
     def __init__(self, spec: str, raw: Raw, tail_integral: Tail):
@@ -68,21 +78,23 @@ class GammaSequence:
         self._spec = spec
         self._raw = raw
         self._lock = threading.Lock()
-        head = raw(np.arange(1, _TRUNCATION + 1, dtype=np.float64))
-        np.minimum.accumulate(head, out=head)
+        self._gamma = np.empty(0)  # gamma_1, gamma_2, ... as far as read
         f_n, f_next, f_after = (_raw_at(raw, _TRUNCATION + k) for k in range(3))
-        # The tail estimate assumes the raw weights are already non-increasing
-        # beyond the truncation point, i.e. the running minimum has caught up.
-        if not math.isclose(float(head[-1]), f_n, rel_tol=1e-12):
-            raise ValueError(
-                f"raw weights for {spec!r} are not non-increasing near the "
-                f"truncation point; tail estimate would be invalid"
-            )
-        # Euler-Maclaurin: sum_{j>N} f(j) ~ int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12,
-        # with f'(N+1) ~ (f(N+2) - f(N)) / 2.
-        self._normalizer = math.fsum([*head.tolist(), tail_integral(_TRUNCATION + 1.0),
-                                      0.5 * f_next, (f_n - f_after) / 24.0])
-        self._gamma = np.divide(head, self._normalizer, out=head)  # the cache's first stretch
+
+        def terms():
+            v = np.empty(0)
+            for lo in range(1, _TRUNCATION + 1, _STRETCH):
+                v = _running_min(raw, lo, min(lo + _STRETCH, _TRUNCATION + 1), v)
+                yield v.tolist()
+            # The tail estimate needs the running minimum to have caught up by N.
+            if not math.isclose(v[-1], f_n, rel_tol=1e-12):
+                raise ValueError(f"raw weights for {spec!r} are not non-increasing near the "
+                                 f"truncation point; tail estimate would be invalid")
+            # Euler-Maclaurin: sum_{j>N} f(j) ~ int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12,
+            # with f'(N+1) ~ (f(N+2) - f(N)) / 2.
+            yield tail_integral(_TRUNCATION + 1.0), 0.5 * f_next, (f_n - f_after) / 24.0
+
+        self._normalizer = math.fsum(itertools.chain.from_iterable(terms()))
 
     @property
     def spec(self) -> str:
@@ -99,10 +111,7 @@ class GammaSequence:
             n = len(self._gamma)
             if upto <= n:
                 return
-            new_n = max(upto, 2 * n)
-            v = self._raw(np.arange(n + 1, new_n + 1, dtype=np.float64)) / self._normalizer
-            v[0] = min(v[0], self._gamma[-1])
-            np.minimum.accumulate(v, out=v)
+            v = _running_min(self._raw, n + 1, max(upto, 2 * n) + 1, self._gamma, self._normalizer)
             self._gamma = np.concatenate([self._gamma, v])
 
     def at(self, indices) -> np.ndarray:

@@ -10,7 +10,6 @@ true nulls pi0_hat = (1 + #{P_i > lambda}) / (n * (1 - lambda)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +59,7 @@ def _step_up(pvalues: Sequence[float], alpha: float, scale_of: Callable) -> Offl
     ok = lhs <= rhs
     near = np.abs(lhs - rhs) <= _NEAR_ULPS * np.maximum(lhs, rhs) + _NEAR_ABS
     for k in np.flatnonzero(near):
+        from fractions import Fraction  # here, not at module level: it loads decimal
         ok[k] = n * Fraction(ps[k]) * Fraction(scale) <= Fraction(alpha) * int(ranks[k])
     s = float(ps[ok][-1]) if ok.any() else 0.0
     return OfflineResult(s, frozenset(np.flatnonzero(p <= s).tolist()))

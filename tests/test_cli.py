@@ -4,6 +4,7 @@ import io
 import select
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,27 +364,38 @@ def test_console_entry_point_runs():
     assert result.stdout.startswith("procedure,gamma,")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where it is used (normal_sf, the beta-family tail)
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, onlinefdr.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
-
-
-def test_cli_import_leaves_process_pool_unloaded():
-    # only a sweep with --jobs > 1 needs the pool
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # each is imported only where it is used: scipy for normal_sf and the beta
+    # tail, the process pool for a parallel sweep, fractions (which loads
+    # decimal) for an offline near-tie
+    heavy = ["scipy", "concurrent.futures", "fractions", "decimal"]
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, onlinefdr.cli; print('concurrent.futures.process' in sys.modules)"],
+         f"import sys, onlinefdr.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+
+
+def test_stream_memory_stays_small(tmp_path):
+    # the gamma build and cache hold only what 4000 decisions read
+    rng = np.random.default_rng(18)
+    p = np.where(rng.uniform(size=4000) < 0.1, 1e-3, 1.0) * rng.uniform(size=4000)
+    source, out = tmp_path / "p.txt", tmp_path / "o.csv"
+    source.write_text("".join(f"{x!r}\n" for x in p.tolist()))
+    argv = ["stream", "--alpha", "0.05", "--gamma", "power:1.67",
+            "--input", str(source), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 4001
+    assert peak < 2.5e6
 
 
 # ------------------------------------------------------------ transcript

@@ -1,6 +1,7 @@
 """Discount-sequence constructors: normalization, monotonicity, frozen values."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -229,7 +230,12 @@ def test_power_law_properties_random_exponent(s):
     assert seq[2] / seq[1] == pytest.approx(2.0**-s, rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", ["power:1.6", "log-optimal", "beta:0.5"])
+# the families' parameter edges join three everyday specs
+EXACT_SPECS = ["power:1.6", "log-optimal", "beta:0.5",
+               "power:1.01", "power:40", "beta:0.05", "beta:0.99"]
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS)
 def test_cached_values_equal_one_running_minimum_pass(spec):
     # the constructor's head and every later extension read as one pass
     seq = G.from_spec(spec)
@@ -237,3 +243,26 @@ def test_cached_values_equal_one_running_minimum_pass(spec):
     raw = seq._raw(np.arange(1, n + 1, dtype=np.float64))
     want = np.minimum.accumulate(raw) / seq.normalizer
     assert np.array_equal(seq.head(n), want)
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS)
+def test_normalizer_is_one_exactly_rounded_sum(spec):
+    # the head streams into fsum a stretch at a time; the sum is the one-shot sum's float
+    _, raw, tail = G._parse(spec)
+    n = G._TRUNCATION
+    head = np.minimum.accumulate(raw(np.arange(1, n + 1, dtype=np.float64)))
+    f_n, f_next, f_after = (G._raw_at(raw, n + k) for k in range(3))
+    want = math.fsum([*head.tolist(), tail(n + 1.0), 0.5 * f_next, (f_n - f_after) / 24.0])
+    assert G.from_spec(spec).normalizer == want
+
+
+def test_a_build_holds_no_head_array():
+    # a 1e5-term head as an array and as Python floats would be over 4 MB;
+    # scipy.special, which the beta tail imports, is loaded with this module
+    tracemalloc.start()
+    try:
+        G.power_law(1.63), G.beta_optimal(0.37), G.log_optimal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
