@@ -31,8 +31,8 @@ Implemented procedures:
 The first three share one payout kernel on a clock of non-candidate steps
 (see ``_GammaInvesting``): a candidate step and a rejection that does not
 tick cost O(1), a tick past a weighted slot an O(2048) update of cached
-payouts, and each 2048 clock values one matrix product; ``run`` re-reads
-the level only after a tick or a rejection.  The level rules
+payouts, and each 2048 clock values past the first one matrix product; ``run``
+re-reads the level only after a tick or a rejection.  The level rules
 :func:`saffron_level` and :func:`investing_level` are written once and serve
 both the scalar machine and the batched kernel.
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gamma import GammaSequence
 from .records import DecisionRecord, StreamTrace, validate_pvalue, validate_pvalues
@@ -193,10 +193,9 @@ class OnlineProcedure:
 # on how far the other rows' clocks have run.
 _SLOT_BLOCK = 64
 
-# The scalar payout cache's superblocks span 256, 256, 512, 1024, then 2048
-# clock values, which bounds a closed slot's update; its far-field product has
-# rows of _ROW values and is summed over chunks of _CHUNK (3 MB of copies).
-_FIRST = 256
+# The scalar payout cache's superblocks span _SUPERBLOCK clock values each,
+# which bounds a closed slot's update; its far-field product has rows of _ROW
+# values and is summed over chunks of _CHUNK (3 MB of copies).
 _SUPERBLOCK = 2048
 _ROW = 64
 _CHUNK = 4096
@@ -214,9 +213,9 @@ class _GammaInvesting(OnlineProcedure):
     with windows opened at the same clock value.  s_t is base[clock] +
     W[clock] * gamma_1, where base[c] sums the slots before c, so a rejection
     that does not tick (every saffron and saffron-ai rejection) costs O(1).
-    ``_s`` caches base over a superblock [c0, c0 + n) of clock values, as
+    ``_s`` caches base over a superblock [c0, c0 + 2048) of clock values, as
     [first open slot k, base[k], c0, base]: one matrix product
-    (``_far_field``) pays the final slots before c0 out to all n values, and
+    (``_far_field``) pays the final slots before c0 out to all 2048 values, and
     each later slot adds its window to the rest once the clock has passed it,
     from the gamma row ``_g`` and its alpha multiple ``_ag``, both formed
     once per machine.  ``next_level`` makes both updates lazily and in
@@ -268,23 +267,19 @@ class _GammaInvesting(OnlineProcedure):
     def _far_field(self, c: int) -> list:
         """A fresh cache for the superblock holding clock value c: far[a * _ROW
         + b] = sum_v X[a, v] G[v, b], with X[a, v] = Wrev[v - a * _ROW] the
-        reversed slots before c0 and G[v, b] = gamma_{2 + v + b}, both strided
-        views copied (BLAS takes only unit strides), _CHUNK values of v at a time."""
-        if c >= _SUPERBLOCK:
-            c0 = c - c % _SUPERBLOCK
-        else:
-            c0 = 1 << c.bit_length() - 1 if c >= _FIRST else 0
-        n = min(max(c0, _FIRST), _SUPERBLOCK)
-        g = self.gamma.head(c0 + n)
-        far = np.zeros((n // _ROW, _ROW))
-        span = c0 + n - _ROW if c0 else 0  # X[a, v] = 0 for v >= span
-        wrev = np.zeros(span + n - _ROW)
-        wrev[n - _ROW : n - _ROW + c0] = self._weights[:c0][::-1]
-        d = g.strides[0]
+        reversed slots before c0 and G[v, b] = gamma_{2 + v + b}, both window
+        views copied (BLAS takes only unit strides), _CHUNK values of v at a
+        time.  The first superblock has no slots before it and no product."""
+        c0 = c - c % _SUPERBLOCK
+        g = self.gamma.head(c0 + _SUPERBLOCK)
+        far = np.zeros((_SUPERBLOCK // _ROW, _ROW))
+        span = c0 + _SUPERBLOCK - _ROW if c0 else 0  # X[a, v] = 0 for v >= span
+        wrev = np.zeros(span + _SUPERBLOCK - _ROW)
+        wrev[_SUPERBLOCK - _ROW : _SUPERBLOCK - _ROW + c0] = self._weights[:c0][::-1]
         for v in range(0, span, _CHUNK):
             m = min(_CHUNK, span - v)
-            x = as_strided(wrev[v + n - _ROW :], (n // _ROW, m), (-_ROW * d, d))
-            far += np.array(x) @ np.array(as_strided(g[1 + v :], (m, _ROW), (d, d)))
+            x = sliding_window_view(wrev[v : v + _SUPERBLOCK - _ROW + m], m)[::-_ROW]
+            far += np.array(x) @ np.array(sliding_window_view(g[1 + v : v + m + _ROW], _ROW))
         return [c0, far.item(0), c0, far.ravel()]
 
     def _apply(self, rejected: bool, candidate: bool) -> None:

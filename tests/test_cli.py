@@ -395,7 +395,7 @@ def test_stream_memory_stays_small(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert len(out.read_text().splitlines()) == 4001
-    assert peak < 2.5e6
+    assert peak < 1.0e6
 
 
 # ------------------------------------------------------------ transcript

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinefdr import gamma as G
-from onlinefdr.procedures import AdaptiveSaffron, Lord, Saffron
+from onlinefdr.procedures import _SUPERBLOCK, AdaptiveSaffron, Lord, Saffron
 import replay_oracle as oracle
 
 ALPHA = 0.05
@@ -74,6 +74,9 @@ EDGE_HISTORIES = {
     "past-1024-ticks": [(3, "R", 1), (LONG_GAP, "C", 2), (40, "R", 2), (5, "R", 1)],
     "rejection-burst-after-1024-ticks": [(0, "R", 2), (LONG_GAP, "R", 3)],
     "past-the-gamma-head": [(3, "R", 1), (110_000, "C", 2), (40, "R", 2), (5, "R", 1)],
+    # weight in the last slots before the superblock start 2048 and in its
+    # first one, then read again from the next superblock's far field
+    "rejections-at-a-superblock-start": [(2046, "R", 3), (1, "R", 1), (1, "R", 1), (2046, "C", 1)],
 }
 
 
@@ -138,16 +141,22 @@ def test_long_lord_stream_decides_alike_on_one_blas_thread(g16, tmp_path):
 
 
 # Clock values at which the kernel starts a new superblock of its payout cache.
-BOUNDARIES = (256, 512, 1024, 2048, 4096)
-STRETCHES = ((700, 0.01), (40, 0.9), (900, 0.01), (40, 0.9), (1500, 0.01), (40, 0.9), (1200, 0.01))
+BOUNDARIES = tuple(k * _SUPERBLOCK for k in (1, 2, 3))
+# Each dense stretch places a burst of rejections shortly before a boundary.
+STRETCHES = ((1950, 0.01), (40, 0.9), (2000, 0.01), (40, 0.9), (2000, 0.01), (40, 0.9), (490, 0.01))
 
 
 def stretched_stream():
-    """Sparse stretches (pi1 = 0.01) between dense ones (pi1 = 0.9), 4420 steps."""
+    """Sparse stretches (pi1 = 0.01) between dense ones (pi1 = 0.9), 6560 steps.
+
+    The sparse stretches draw their nulls above lambda, so each one ticks
+    saffron's clock and every procedure's clock crosses all the boundaries.
+    """
     rng = np.random.default_rng(41)
     pi1 = np.concatenate([np.full(n, pi) for n, pi in STRETCHES])
-    u = rng.random((2, len(pi1)))
-    return np.where(u[0] < pi1, u[1] ** 20, rng.random(len(pi1)))
+    u = rng.random((3, len(pi1)))
+    nulls = np.where(pi1 < 0.5, LAM + (1 - LAM) * u[2], u[2])
+    return np.where(u[0] < pi1, u[1] ** 20, nulls)
 
 
 def oracle_levels(name, R, C, gam):
@@ -170,7 +179,7 @@ def test_superblock_boundaries(name, g16):
     ticks = np.ones(len(R), dtype=int) if name == "lord" else ~np.array(C)
     clock = np.concatenate([[0], np.cumsum(ticks)])[:-1]
     crossed = [b for b in BOUNDARIES if b <= clock[-1]]
-    assert len(crossed) >= 3
+    assert crossed == list(BOUNDARIES)
     # levels against the oracle at the first and the last clock value of each superblock
     for value in sorted({0, *(b - 1 for b in crossed), *crossed, clock[-1]}):
         i = int(np.argmax(clock == value))
