@@ -12,7 +12,6 @@ from .estimators import (
     fdp_hat_lord,
     fdp_hat_saffron,
     fdp_oracle,
-    mfdr,
 )
 from .gamma import GammaSequence, beta_optimal, from_spec, log_optimal, power_law
 from .offline import OfflineResult, bh, storey_bh, storey_pi0

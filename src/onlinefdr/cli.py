@@ -24,7 +24,7 @@ from typing import IO, Any, Callable, Iterator, Sequence
 from . import gamma as gamma_mod
 from . import offline as offline_mod
 from .procedures import PROCEDURE_NAMES
-from .records import validate_levels
+from .records import validate_levels, validate_pvalue
 from .simulation import (
     DataModel,
     ProcedureSpec,
@@ -199,10 +199,9 @@ def _opened(path: str | None, mode: str, default: IO[str]) -> Iterator[IO]:
 def _pvalue(raw: bytes | str) -> float | None:
     """The p-value a line holds, or None."""
     try:
-        p = float(raw)
+        return validate_pvalue(raw)
     except ValueError:
         return None
-    return p if 0.0 <= p <= 1.0 else None  # also rejects NaN
 
 
 def _read_pvalues(fin: IO[bytes]) -> Iterator[float | ValueError]:

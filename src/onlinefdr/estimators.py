@@ -11,7 +11,7 @@ max(|R(t)|, 1):
   steps only, the quantity the candidate-aware procedures keep below alpha.
 
 ``aggregate`` reduces a batch of trials to mean FDR/power with standard
-errors; ``mfdr`` is the plug-in ratio of across-trial means.
+errors.
 """
 
 from __future__ import annotations
@@ -73,12 +73,3 @@ def aggregate(trials: Sequence[TrialResult]) -> TrialSummary:
     fdr, fdr_se = _mean_se(np.array([t.fdp for t in trials]))
     power, power_se = _mean_se(np.array([t.power for t in trials]))
     return TrialSummary(fdr, power, fdr_se, power_se, len(trials))
-
-
-def mfdr(trials: Sequence[TrialResult]) -> float:
-    """Plug-in modified FDR: mean false discoveries over mean discoveries."""
-    if not trials:
-        raise ValueError("cannot compute mFDR of an empty list of trials")
-    false = sum(t.fdp * t.rejections for t in trials)
-    total = sum(t.rejections for t in trials)
-    return false / total if total else 0.0

@@ -97,11 +97,6 @@ class GammaSequence:
         self._normalizer = math.fsum(itertools.chain.from_iterable(terms()))
 
     @property
-    def spec(self) -> str:
-        """Canonical text form, e.g. ``"power:1.6"`` or ``"log-optimal"``."""
-        return self._spec
-
-    @property
     def normalizer(self) -> float:
         """The series total the raw weights are divided by."""
         return self._normalizer
@@ -123,7 +118,7 @@ class GammaSequence:
         top = int(idx.max(initial=0))
         if top > len(self._gamma):
             self._extend(top)
-        return self._gamma[idx - 1]
+        return self._gamma[idx - 1] if idx.size else np.empty(idx.shape)  # [] reads as float
 
     def __getitem__(self, j: int) -> float:
         if j < 1:

@@ -10,7 +10,7 @@ true nulls pi0_hat = (1 + #{P_i > lambda}) / (n * (1 - lambda)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,17 +39,14 @@ def _validated(pvalues: Sequence[float], alpha: float | None = None) -> np.ndarr
     return p
 
 
-def _step_up(pvalues: Sequence[float], alpha: float, scale_of: Callable) -> OfflineResult:
-    """Reject at the largest s among the observed p-values with
-    n*s*scale/|R(s)| <= alpha, where scale = ``scale_of(p)`` on the validated
-    p-values p.
+def _step_up(p: np.ndarray, alpha: float, scale: float) -> OfflineResult:
+    """Reject at the largest s among the validated p-values p with
+    n*s*scale/|R(s)| <= alpha.
 
     The comparison n*s*scale <= alpha*|R(s)| is exact on the binary64 inputs:
     the rounded products decide it unless they lie within a few ulps of each
     other, and those near-ties are decided in rationals.
     """
-    p = _validated(pvalues, alpha)
-    scale = scale_of(p)
     n = len(p)
     ps = np.sort(p)
     # with ties, |R(p_(k))| is the rank of the last equal value
@@ -67,7 +64,7 @@ def _step_up(pvalues: Sequence[float], alpha: float, scale_of: Callable) -> Offl
 
 def bh(pvalues: Sequence[float], alpha: float) -> OfflineResult:
     """Step-up control of the FDR at level alpha."""
-    return _step_up(pvalues, alpha, lambda p: 1.0)
+    return _step_up(_validated(pvalues, alpha), alpha, 1.0)
 
 
 def _pi0(p: np.ndarray, lam: float) -> float:
@@ -83,4 +80,5 @@ def storey_pi0(pvalues: Sequence[float], lam: float) -> float:
 
 def storey_bh(pvalues: Sequence[float], alpha: float, lam: float = 0.5) -> OfflineResult:
     """Adaptive step-up: BH scaled by the estimated null fraction."""
-    return _step_up(pvalues, alpha, lambda p: _pi0(p, lam))
+    p = _validated(pvalues, alpha)
+    return _step_up(p, alpha, _pi0(p, lam))

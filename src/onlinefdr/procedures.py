@@ -32,9 +32,9 @@ The first three share one payout kernel on a clock of non-candidate steps
 (see ``_GammaInvesting``): a candidate step and a rejection that does not
 tick cost O(1), a tick past a weighted slot an O(2048) update of cached
 payouts, and each 2048 clock values past the first one matrix product; ``run``
-re-reads the level only after a tick or a rejection.  The level rules
-:func:`saffron_level` and :func:`investing_level` are written once and serve
-both the scalar machine and the batched kernel.
+re-reads the level only after ``_apply`` reports a tick or a rejection.
+``_levels`` maps a payout to the level pair for both the scalar machine and
+the batched kernel; saffron-ai shares :func:`investing_level` with alpha-investing.
 
 All step counters, rejection times, and gamma indices are 1-based.
 """
@@ -54,21 +54,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
     return float(alpha)
-
-
-def _check_params(alpha: float, w0: float) -> tuple[float, float]:
-    alpha = _check_alpha(alpha)
-    if not 0.0 < w0 <= alpha:
-        raise ValueError(f"initial wealth must lie in (0, alpha], got {w0}")
-    return alpha, float(w0)
-
-
-def saffron_level(s, lam, minimum=min):
-    """SAFFRON's test level min(lam, (1 - lam) * s) at payout s.
-
-    ``s`` is a float, or an array of payouts with ``minimum=np.minimum``.
-    """
-    return minimum(lam, (1.0 - lam) * s)
 
 
 def investing_level(s):
@@ -93,7 +78,8 @@ class OnlineProcedure:
         """Index of the next step to be tested (1-based)."""
         return self._t
 
-    def _apply(self, rejected: bool, candidate: bool) -> None:
+    def _apply(self, rejected: bool, candidate: bool):
+        """Advance the state past one decision, leaving ``t`` to the caller."""
         raise NotImplementedError
 
     def next_level(self) -> tuple[float, float]:
@@ -137,10 +123,11 @@ class OnlineProcedure:
         pv = validate_pvalues(pvalues, 1).copy()
         alphas, lams = np.empty(len(pv)), np.empty(len(pv))
         self._run(pv.tolist(), alphas, lams)
+        self._t += len(pv)
         return StreamTrace(pv, alphas, lams, pv <= alphas, pv <= lams)
 
     def _run(self, plist: list[float], alphas: np.ndarray, lams: np.ndarray) -> None:
-        """Advance over ``plist`` as ``observe`` would, writing the levels."""
+        """Advance over ``plist`` as ``observe`` would, writing the levels; ``run`` advances t."""
         raise NotImplementedError
 
     def run_batch(self, pvalues: np.ndarray) -> list[StreamTrace]:
@@ -228,7 +215,10 @@ class _GammaInvesting(OnlineProcedure):
 
     def __init__(self, alpha: float, w0: float, gamma: GammaSequence):
         super().__init__()
-        self.alpha, self.w0 = _check_params(alpha, w0)
+        self.alpha = _check_alpha(alpha)
+        if not 0.0 < w0 <= self.alpha:
+            raise ValueError(f"initial wealth must lie in (0, alpha], got {w0}")
+        self.w0 = float(w0)
         self.gamma = gamma
         self._clock = 0
         self._nrej = 0
@@ -282,30 +272,29 @@ class _GammaInvesting(OnlineProcedure):
             far += np.array(x) @ np.array(sliding_window_view(g[1 + v : v + m + _ROW], _ROW))
         return [c0, far.item(0), c0, far.ravel()]
 
-    def _apply(self, rejected: bool, candidate: bool) -> None:
+    def _apply(self, rejected: bool, candidate: bool) -> bool:
+        """Tick the clock and place a rejection's weight; return whether either
+        happened, since only such a step can change the level pair."""
         # Tick before placing the weight: lord's rejection step ticks, so its
         # window starts one slot later; saffron's rejection (a candidate) never does.
-        if self._ticks_on_candidates or not candidate:
+        ticks = self._ticks_on_candidates or not candidate
+        if ticks:
             self._clock += 1
             if self._clock == len(self._weights):
                 self._weights = np.concatenate([self._weights, np.zeros_like(self._weights)])
         if rejected:
             self._nrej += 1
             self._weights[self._clock] += self.alpha - self.w0 if self._nrej == 1 else self.alpha
+        return ticks or rejected
 
     def _run(self, plist, alphas, lams):
-        # Only a tick or a rejection changes the level pair; a saffron
-        # candidate that is not rejected changes nothing but t.
-        ticks, apply = self._ticks_on_candidates, self._apply
-        levels, payout = self._levels, self._payout  # next_level without its own call
+        # next_level without its own call, re-read only when _apply says so
+        apply, levels, payout = self._apply, self._levels, self._payout
         a, lam = levels(payout())
         for i, p in enumerate(plist):
             alphas[i], lams[i] = a, lam
-            r, c = p <= a, p <= lam
-            if r or ticks or not c:
-                apply(r, c)
+            if apply(p <= a, p <= lam):
                 a, lam = levels(payout())
-        self._t += len(plist)
 
     def _run_batch(self, pt):
         # The same slots and clock as the scalar machine, one row per stream.
@@ -365,7 +354,7 @@ class Saffron(_GammaInvesting):
         self.lam = float(lam)
 
     def _levels(self, s, minimum=min):
-        return saffron_level(s, self.lam, minimum), self.lam
+        return minimum(self.lam, (1.0 - self.lam) * s), self.lam
 
 
 class AdaptiveSaffron(_GammaInvesting):
@@ -439,7 +428,6 @@ class AlphaInvesting(OnlineProcedure):
                 wealth -= pen
         lams[:] = alphas
         self.wealth = wealth
-        self._t += len(plist)
 
     def _run_batch(self, pt):
         # The same arithmetic as the scalar machine, a wealth per row.

@@ -878,6 +878,21 @@ TRANSCRIPT = [
              "lord,power:1.6,0.5,0,0,0.14761904761904762,0.052380952380952382,2,8\n"
              "saffron-ai,power:1.6,0.5,0,0,0.14761904761904762,0.052380952380952382,2,8\n"
          )),
+    # 2 cells of 12 trials share each (procedure, T): one run_batch call each
+    case("sweep-batched",
+         ["sweep", *A, "--pi1", "0.2,0.8", "--procedure", "saffron,saffron-ai,lord,alpha-investing", "--T", "60", "--trials", "12", "--precision", "17"],
+         code=0,
+         out=(
+             "procedure,gamma,pi1,fdr,fdr_se,power,power_se,trials,seed\n"
+             "saffron,power:1.6,0.20000000000000001,0.011904761904761904,0.011904761904761904,0.50726646039146039,0.055709620279593912,12,0\n"
+             "saffron,power:1.6,0.80000000000000004,0.0098739588871167832,0.0044716426155889388,0.82440535676131643,0.01463228605229964,12,0\n"
+             "saffron-ai,power:1.6,0.20000000000000001,0.011904761904761904,0.011904761904761904,0.48118027805527802,0.050226927128045752,12,0\n"
+             "saffron-ai,power:1.6,0.80000000000000004,0.014674511759193617,0.0047749275122299069,0.81441308766639697,0.014998817965906495,12,0\n"
+             "lord,power:1.6,0.20000000000000001,0.011904761904761904,0.011904761904761904,0.46839618714618719,0.051750748972606953,12,0\n"
+             "lord,power:1.6,0.80000000000000004,0.0022522522522522522,0.0022522522522522522,0.73518333567468097,0.019846426825663989,12,0\n"
+             "alpha-investing,power:1.6,0.20000000000000001,0,0,0.32062671125171122,0.044129694082814877,12,0\n"
+             "alpha-investing,power:1.6,0.80000000000000004,0,0,0.45007698004436897,0.02569880967250477,12,0\n"
+         )),
     case("sweep-out-missing-dir",
          ["sweep", *A, "--T", "5", "--trials", "1", "--pi1", "0.5", "--out", "nodir/x.csv"],
          code=2, err="error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"),

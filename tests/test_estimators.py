@@ -13,7 +13,6 @@ from onlinefdr.estimators import (
     fdp_hat_lord,
     fdp_hat_saffron,
     fdp_oracle,
-    mfdr,
 )
 from onlinefdr.gamma import from_spec
 from onlinefdr.procedures import PROCEDURE_NAMES, make_procedure
@@ -208,15 +207,3 @@ def test_aggregate_matches_closed_form_on_synthetic_batch():
 def test_aggregate_empty_raises():
     with pytest.raises(ValueError):
         aggregate([])
-    with pytest.raises(ValueError):
-        mfdr([])
-
-
-def test_mfdr_plug_in_ratio():
-    trials = [
-        TrialResult(fdp=0.5, power=0.1, rejections=2),  # 1 false
-        TrialResult(fdp=0.0, power=0.3, rejections=3),  # 0 false
-        TrialResult(fdp=0.0, power=0.0, rejections=0),
-    ]
-    assert mfdr(trials) == pytest.approx(1.0 / 5.0)
-    assert mfdr([TrialResult(fdp=0.0, power=0.0, rejections=0)]) == 0.0

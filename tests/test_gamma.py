@@ -1,6 +1,7 @@
 """Discount-sequence constructors: normalization, monotonicity, frozen values."""
 
 import math
+import threading
 import tracemalloc
 
 import mpmath
@@ -179,7 +180,7 @@ def test_canonical_spec_round_trip():
     assert G.canonical_spec("power:1.60") == "power:1.6"
     assert G.canonical_spec("beta:0.50") == "beta:0.5"
     assert G.canonical_spec("log-optimal") == "log-optimal"
-    assert G.from_spec("power:1.6").spec == "power:1.6"
+    assert repr(G.from_spec("power:1.6")) == "GammaSequence('power:1.6')"
 
 
 def test_index_below_one_rejected(power2):
@@ -208,8 +209,40 @@ def test_a_head_belongs_to_its_caller():
 
 def test_vector_lookup_takes_any_integer_array_like(power16):
     assert power16.at([4000, 1]).tolist() == [power16[4000], power16[1]]
-    empty = power16.at(np.array([], dtype=np.int64))
-    assert empty.shape == (0,) and empty.dtype == np.float64
+    for empty in (power16.at(np.array([], dtype=np.int64)), power16.at([])):
+        assert empty.shape == (0,) and empty.dtype == np.float64
+    with pytest.raises(IndexError):
+        power16.at([1.0])
+
+
+def test_concurrent_reads_equal_a_serial_read():
+    # Four threads start together on one fresh sequence and race its cache
+    # across its doubling points, each through [], at and head in its own order.
+    tops = [3, 40, 700, 5_000, 33_000, 131_073, 300_000]
+    orders = [tops, tops[::-1], tops[::2] + tops[1::2], tops[1::2] + tops[::2]]
+
+    def reads(seq, order):
+        return [
+            v for top in order for v in (seq[top], seq.at([top, top // 2 + 1, 1]), seq.head(top)[-5:])
+        ]
+
+    shared, alone = G.power_law(1.6), G.power_law(1.6)
+    barrier = threading.Barrier(len(orders))
+    results = [None] * len(orders)
+
+    def worker(w):
+        barrier.wait()
+        results[w] = reads(shared, orders[w])
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(len(orders))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for got, order in zip(results, orders):
+        want = reads(alone, order)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+    assert shared.head(300_000).tobytes() == alone.head(300_000).tobytes()
 
 
 def test_vector_lookup_matches_scalar(power16):

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from onlinefdr import simulation
-from onlinefdr.estimators import aggregate, mfdr
+from onlinefdr.estimators import aggregate
 from onlinefdr.records import TrialResult, fdp_from_flags, power_from_flags
 from onlinefdr.simulation import (
     BetaAlternative,
@@ -351,12 +351,6 @@ def test_null_streams_keep_every_procedure_below_alpha():
         )
         row = run_cell(cfg)
         assert row.fdr <= 0.05 + 3 * row.fdr_se + 1e-12, name
-
-
-def test_mfdr_plug_in_stays_near_alpha():
-    cfg = base_config(model=DataModel(GaussianMean(3.0), pi1=0.5, T=300), trials=200)
-    value = mfdr(trial_results(cfg))
-    assert value <= 0.05 + 0.02
 
 
 def test_write_csv_header_and_precision():
