@@ -56,7 +56,6 @@ class TrialSummary:
     power: float
     fdr_se: float
     power_se: float
-    trials: int
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -72,4 +71,4 @@ def aggregate(trials: Sequence[TrialResult]) -> TrialSummary:
         raise ValueError("cannot aggregate an empty list of trials")
     fdr, fdr_se = _mean_se(np.array([t.fdp for t in trials]))
     power, power_se = _mean_se(np.array([t.power for t in trials]))
-    return TrialSummary(fdr, power, fdr_se, power_se, len(trials))
+    return TrialSummary(fdr, power, fdr_se, power_se)

@@ -174,8 +174,6 @@ def _beta(m: float) -> tuple[Raw, Tail]:
 
         arg = (q - 1.0) * math.log(x)
         reg = float(special.gammaincc(q + 1.0, arg))
-        if reg == 0.0:
-            return 0.0
         return math.exp(
             special.gammaln(q + 1.0) + math.log(reg) - (q + 1.0) * math.log(q - 1.0)
         )

@@ -50,12 +50,6 @@ from .gamma import GammaSequence
 from .records import DecisionRecord, StreamTrace, validate_pvalue, validate_pvalues
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
-    return float(alpha)
-
-
 def investing_level(s):
     """s / (1 + s): the level whose alpha-investing cost alpha / (1 - alpha) is s.
 
@@ -68,9 +62,11 @@ def investing_level(s):
 class OnlineProcedure:
     """Common stepping machinery; subclasses implement the level rule."""
 
-    alpha: float
-
-    def __init__(self):
+    def __init__(self, alpha: float, gamma: GammaSequence):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"target FDR level must lie in (0, 1), got {alpha}")
+        self.alpha = float(alpha)
+        self.gamma = gamma
         self._t = 1
 
     @property
@@ -192,12 +188,13 @@ class _GammaInvesting(OnlineProcedure):
     """The payout kernel shared by saffron, saffron-ai and lord.
 
     The payout is s_t = sum_j w_j gamma_{t - tau_j - C_j} over the windows
-    opened at tau_0 = 0 (weight W0) and at each rejection tau_j (alpha - W0
-    for the first, alpha after), where C_j counts the candidates strictly
-    between tau_j and t (none for lord).  A clock ticks on every non-candidate
-    step (every step for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j):
-    a rejection adds its weight at slot ``clock`` of one dense array, merging
-    with windows opened at the same clock value.  s_t is base[clock] +
+    opened at tau_0 = 0 (weight W0) and at each rejection tau_j (weight
+    ``_reward``, state that is alpha - W0 until the first rejection and alpha
+    after it), where C_j counts the candidates strictly between tau_j and t
+    (none for lord).  A clock ticks on every non-candidate step (every step
+    for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j): a rejection
+    adds its weight at slot ``clock`` of one dense array, merging with
+    windows opened at the same clock value.  s_t is base[clock] +
     W[clock] * gamma_1, where base[c] sums the slots before c, so a rejection
     that does not tick (every saffron and saffron-ai rejection) costs O(1).
     ``_s`` caches base over a superblock [c0, c0 + 2048) of clock values, as
@@ -214,14 +211,12 @@ class _GammaInvesting(OnlineProcedure):
     _ticks_on_candidates = False
 
     def __init__(self, alpha: float, w0: float, gamma: GammaSequence):
-        super().__init__()
-        self.alpha = _check_alpha(alpha)
+        super().__init__(alpha, gamma)
         if not 0.0 < w0 <= self.alpha:
             raise ValueError(f"initial wealth must lie in (0, alpha], got {w0}")
         self.w0 = float(w0)
-        self.gamma = gamma
         self._clock = 0
-        self._nrej = 0
+        self._reward = self.alpha - self.w0
         self._weights = np.zeros(1024)
         self._weights[0] = self.w0
         self._g1 = gamma[1]
@@ -273,8 +268,8 @@ class _GammaInvesting(OnlineProcedure):
         return [c0, far.item(0), c0, far.ravel()]
 
     def _apply(self, rejected: bool, candidate: bool) -> bool:
-        """Tick the clock and place a rejection's weight; return whether either
-        happened, since only such a step can change the level pair."""
+        """Tick the clock and place a rejection's weight, ``_reward``; return
+        whether either happened, since only such a step can change the level pair."""
         # Tick before placing the weight: lord's rejection step ticks, so its
         # window starts one slot later; saffron's rejection (a candidate) never does.
         ticks = self._ticks_on_candidates or not candidate
@@ -283,8 +278,8 @@ class _GammaInvesting(OnlineProcedure):
             if self._clock == len(self._weights):
                 self._weights = np.concatenate([self._weights, np.zeros_like(self._weights)])
         if rejected:
-            self._nrej += 1
-            self._weights[self._clock] += self.alpha - self.w0 if self._nrej == 1 else self.alpha
+            self._weights[self._clock] += self._reward
+            self._reward = self.alpha
         return ticks or rejected
 
     def _run(self, plist, alphas, lams):
@@ -297,7 +292,7 @@ class _GammaInvesting(OnlineProcedure):
                 a, lam = levels(payout())
 
     def _run_batch(self, pt):
-        # The same slots and clock as the scalar machine, one row per stream.
+        # The same slots, clock and reward as the scalar machine, one row per stream.
         # Every row's s is recomputed at every step: recomputing only the
         # rows that ticked or rejected measured no faster, since gathering
         # those rows costs as much as the dot it saves.
@@ -310,7 +305,7 @@ class _GammaInvesting(OnlineProcedure):
         weights = np.zeros((B, n))
         weights[:, 0] = self.w0
         clock = np.zeros(B, dtype=np.intp)
-        has_rejected = np.zeros(B, dtype=bool)
+        reward = np.full(B, self.alpha - self.w0)
         alphas, lams = np.empty((T, B)), np.empty((T, B))
         for t in range(T):
             if self._ticks_on_candidates:  # one shared clock, equal to t
@@ -325,10 +320,8 @@ class _GammaInvesting(OnlineProcedure):
             clock += 1 if self._ticks_on_candidates else p > lam
             rows = np.flatnonzero(p <= a)
             if rows.size:
-                weights[rows, clock[rows]] += np.where(
-                    has_rejected[rows], self.alpha, self.alpha - self.w0
-                )
-                has_rejected[rows] = True
+                weights[rows, clock[rows]] += reward[rows]
+                reward[rows] = self.alpha
         return alphas, lams
 
 
@@ -399,9 +392,7 @@ class AlphaInvesting(OnlineProcedure):
     """
 
     def __init__(self, alpha: float, gamma: GammaSequence):
-        super().__init__()
-        self.alpha = _check_alpha(alpha)
-        self.gamma = gamma
+        super().__init__(alpha, gamma)
         self.wealth = self.alpha
 
     def next_level(self) -> tuple[float, float]:

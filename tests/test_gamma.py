@@ -101,6 +101,26 @@ def test_normalizer_matches_1e7_term_sum(spec):
     assert G.from_spec(spec).normalizer == pytest.approx(NORMALIZER_1E7[spec], rel=1e-15)
 
 
+def test_beta_shape_edge_builds_a_finite_normalizer():
+    # The positivity guard admits shapes from about 0.0179004 up.  At the edge
+    # the tail's regularized incomplete gamma is about 3.5e-193, not zero, so
+    # its logarithm is finite.
+    seq = G.beta_optimal(0.017901)
+    assert 0.0 < seq.normalizer < math.inf
+    with pytest.raises(ValueError, match="underflow"):
+        G.beta_optimal(0.0179)
+
+
+def test_raw_weights_rising_near_the_truncation_point_rejected():
+    power_raw, power_tail = G._power(1.6)
+
+    def rising(j):
+        return power_raw(j) * np.where(j > 99_000, 2.0, 1.0)
+
+    with pytest.raises(ValueError, match="not non-increasing near the truncation point"):
+        G.GammaSequence("rising", rising, power_tail)
+
+
 def test_beta_running_min_flattens_small_j(beta05):
     # raw weights rise again at j=3; repair pins j=2..4 at the j=2 value
     assert beta05[2] == beta05[3] == beta05[4]
@@ -243,6 +263,12 @@ def test_concurrent_reads_equal_a_serial_read():
         want = reads(alone, order)
         assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
     assert shared.head(300_000).tobytes() == alone.head(300_000).tobytes()
+
+
+def test_a_first_vector_read_grows_the_cache():
+    # a fresh sequence caches nothing, so at() must grow the cache before it reads
+    first, second = G.power_law(1.6), G.power_law(1.6)
+    assert first.at([5000, 1]).tolist() == [second[5000], second[1]]
 
 
 def test_vector_lookup_matches_scalar(power16):

@@ -386,6 +386,11 @@ def test_non_finite_model_parameters_rejected(text):
         parse_model(text)
 
 
+def test_sweep_of_no_configs_raises():
+    with pytest.raises(ValueError, match="at least one configuration"):
+        sweep([])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DataModel(GaussianMean(3.0), pi1=1.2, T=100)
