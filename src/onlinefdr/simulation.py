@@ -177,10 +177,13 @@ class SweepRow:
 _BATCH_TRIAL_STEPS = 256_000
 
 # With fewer rows than this, run_batch decides a batch more slowly than run()
-# decides its trials one at a time.  On 2 vCPUs the crossover, at T = 1000
-# and at T = 8000, was 16-24 and 24-32 rows for alpha-investing, 16-24 and
-# 16-24 for saffron, 8-24 and over 48 for saffron-ai (each batched row pays
-# for the batch's longest clock), and 8 or fewer and 8-16 for lord.
+# decides its trials one at a time.  On 2 vCPUs, with rows at pi1 0.1 to 0.9
+# in turn, the crossover at T = 1000 was 16-24 rows for alpha-investing, about
+# 16 for saffron, 8-16 for saffron-ai and 8 or fewer for lord.  At T = 8000 it
+# was 16-24 for alpha-investing and 8 or fewer for lord, and saffron and
+# saffron-ai were still slower batched at 48 rows: each batched row pays for
+# the batch's longest clock.  With every row at pi1 0.5 those two crossed at
+# 16-24 and about 24 rows.
 # Smaller batches, such as a cell of a few trials or any batch of streams
 # longer than 10 666 steps, are therefore decided one trial at a time.
 _MIN_BATCH_ROWS = 24

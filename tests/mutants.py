@@ -68,6 +68,32 @@ MUTANTS = (
         ("tests/test_golden.py::test_batched_decisions_match_golden",
          "tests/test_procedures.py::test_run_batch_rows_do_not_depend_on_the_batch"),
     ),
+    # The batched sums: a slot count that ends inside a dot product's block,
+    # lord's shared window row read one clock value late, and spans long
+    # enough for OpenBLAS to split across threads (killed only where BLAS
+    # runs more than one thread).
+    Mutant(
+        "slot-block-partial",
+        "procedures.py",
+        "_SLOT_BLOCK = 64",
+        "_SLOT_BLOCK = 8",
+        ("tests/test_procedures.py::test_run_batch_rows_do_not_depend_on_the_batch",),
+    ),
+    Mutant(
+        "batch-lord-row-shifted",
+        "procedures.py",
+        "c, r = t, n - 1 - t",
+        "c, r = t, n - t",
+        ("tests/test_golden.py::test_batched_decisions_match_golden",),
+    ),
+    Mutant(
+        "dot-span-threaded",
+        "procedures.py",
+        "_DOT_SPAN = 8192",
+        "_DOT_SPAN = 16384",
+        ("tests/test_payout_kernel.py::test_batched_levels_decide_alike_on_one_blas_thread",
+         "tests/test_payout_kernel.py::test_long_batched_rows_do_not_depend_on_the_batch"),
+    ),
     # The far field: the product's span, its gamma rows, the superblock
     # entry, the first open slot, and the last slot before c0.
     Mutant(

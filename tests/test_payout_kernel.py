@@ -140,6 +140,58 @@ def test_long_lord_stream_decides_alike_on_one_blas_thread(g16, tmp_path):
             assert one[name].tolist() == trace.alpha.tolist(), name
 
 
+BATCH_BLAS_PROBE = """
+import sys
+import numpy as np
+from onlinefdr import from_spec, make_procedure
+g, p, long = from_spec("power:1.6"), np.load(sys.argv[1]), np.load(sys.argv[2])
+levels = {name: [trace.alpha for trace in make_procedure(name, 0.05, 0.025, g, 0.5).run_batch(p)]
+          for name in ("saffron", "saffron-ai", "lord")}
+levels["lord-long"] = [trace.alpha for trace in make_procedure("lord", 0.05, 0.025, g).run_batch(long)]
+np.savez(sys.argv[3], **levels)
+"""
+
+
+def test_batched_levels_decide_alike_on_one_blas_thread(g16, tmp_path):
+    # each row's payout adds one dot product a span of slots, which OpenBLAS
+    # sums in one order on any thread count; every row its own signal
+    # fraction, and lord's long rows sum over more than 10 000 slots, past
+    # which OpenBLAS splits one dot product across threads
+    rng = np.random.default_rng(37)
+    u = rng.random((3, 150, 1000))
+    np.save(tmp_path / "p.npy", np.where(u[0] < rng.random((150, 1)), u[1] ** 8, u[2]))
+    u = rng.random((3, 4, 10_200))
+    np.save(tmp_path / "long.npy", np.where(u[0] < 0.1, u[1] ** 8, u[2]))
+    result = subprocess.run(
+        [sys.executable, "-c", BATCH_BLAS_PROBE, *(tmp_path / f for f in ("p.npy", "long.npy", "one.npz"))],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    pvalues = np.load(tmp_path / "p.npy")
+    traces = {name: build(name, ALPHA / 2, g16).run_batch(pvalues) for name in PROCEDURES}
+    traces["lord-long"] = build("lord", ALPHA / 2, g16).run_batch(np.load(tmp_path / "long.npy"))
+    with np.load(tmp_path / "one.npz") as one:
+        for name, batch in traces.items():
+            assert sum(trace.rejected.sum() for trace in batch) > 1000, name
+            assert one[name].tolist() == [trace.alpha.tolist() for trace in batch], name
+
+
+def test_long_batched_rows_do_not_depend_on_the_batch(g16):
+    # the sparse row's clock passes 10 000 and sets every row's slot count k,
+    # so the other rows' sums are padded past where one dot product would be
+    # split across threads
+    rng = np.random.default_rng(4)
+    u = rng.random((3, 3, 11_000))
+    pvalues = np.where(u[0] < np.array([[0.005], [0.3], [0.9]]), u[1] ** 8, u[2])
+    whole = AdaptiveSaffron(ALPHA, ALPHA / 2, g16).run_batch(pvalues)
+    assert (whole[0].pvalues > whole[0].lam).sum() > 10_000
+    for i in (1, 2):
+        alone = AdaptiveSaffron(ALPHA, ALPHA / 2, g16).run_batch(pvalues[i : i + 1])[0]
+        assert alone.alpha.tolist() == whole[i].alpha.tolist(), i
+
+
 # Clock values at which the kernel starts a new superblock of its payout cache.
 BOUNDARIES = tuple(k * _SUPERBLOCK for k in (1, 2, 3))
 # Each dense stretch places a burst of rejections shortly before a boundary.
