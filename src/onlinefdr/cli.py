@@ -147,9 +147,9 @@ def _settings(args: argparse.Namespace) -> dict[str, Any]:
     file_cfg: dict[str, str] = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
         file_cfg = parse_config_text(text, keys)
     values: dict[str, Any] = {}
@@ -196,27 +196,17 @@ def _opened(path: str | None, mode: str, default: IO[str]) -> Iterator[IO]:
         yield fh
 
 
-def _pvalue(raw: bytes | str) -> float | None:
-    """The p-value a line holds, or None."""
-    try:
-        return validate_pvalue(raw)
-    except ValueError:
-        return None
-
-
 def _read_pvalues(fin: IO[bytes]) -> Iterator[float | ValueError]:
-    """Each non-blank line's p-value, or the error naming a bad line, one line at a time."""
+    """Each non-blank line's p-value, or the error naming a bad line, one line at a time.
+    Lines are decoded as UTF-8; an undecodable byte is quoted as a ``\\udcXX`` escape."""
     for lineno, line in enumerate(iter(fin.readline, b""), start=1):
-        p = _pvalue(line)
-        if p is None:
-            # Decoded only here: float() reads non-ASCII digits and spaces in
-            # text but not in bytes, and the message quotes the line as text.
-            text = line.decode("utf-8", "surrogateescape").strip()
-            if not text:
-                continue
-            p = _pvalue(text)
-            if p is None:
-                p = ValueError(f"line {lineno}: not a p-value in [0, 1]: {text!r}")
+        text = line.decode("utf-8", "surrogateescape").strip()
+        if not text:
+            continue
+        try:
+            p: float | ValueError = validate_pvalue(text)
+        except ValueError:
+            p = ValueError(f"line {lineno}: not a p-value in [0, 1]: {text!r}")
         yield p
 
 

@@ -62,7 +62,11 @@ def investing_level(s):
 
 
 class OnlineProcedure:
-    """Common stepping machinery; subclasses implement the level rule."""
+    """Common stepping machinery; subclasses implement the level rule and
+    ``_apply`` (advance past one decision, leaving ``t`` to the caller),
+    ``_run`` (advance over a list as ``observe`` would, writing the levels,
+    leaving ``t`` to ``run``) and ``_run_batch`` (the levels and thresholds
+    of (T, B) p-values, as two (T, B) arrays that do not share memory)."""
 
     def __init__(self, alpha: float, gamma: GammaSequence):
         if not 0.0 < alpha < 1.0:
@@ -75,10 +79,6 @@ class OnlineProcedure:
     def t(self) -> int:
         """Index of the next step to be tested (1-based)."""
         return self._t
-
-    def _apply(self, rejected: bool, candidate: bool):
-        """Advance the state past one decision, leaving ``t`` to the caller."""
-        raise NotImplementedError
 
     def next_level(self) -> tuple[float, float]:
         """The (alpha_t, lambda_t) pair for the current step.
@@ -124,10 +124,6 @@ class OnlineProcedure:
         self._t += len(pv)
         return StreamTrace(pv, alphas, lams, pv <= alphas, pv <= lams)
 
-    def _run(self, plist: list[float], alphas: np.ndarray, lams: np.ndarray) -> None:
-        """Advance over ``plist`` as ``observe`` would, writing the levels; ``run`` advances t."""
-        raise NotImplementedError
-
     def run_batch(self, pvalues: np.ndarray) -> list[StreamTrace]:
         """Decide each row of a (B, T) p-value matrix as a stream of its own.
 
@@ -149,11 +145,6 @@ class OnlineProcedure:
             StreamTrace(pt[:, i], alphas[:, i], lams[:, i], rejected[:, i], candidate[:, i])
             for i in range(pt.shape[1])
         ]
-
-    def _run_batch(self, pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Levels and thresholds as two (T, B) arrays, not sharing memory,
-        for the (T, B) p-values ``pt``."""
-        raise NotImplementedError
 
     def load_history(self, rejected: Sequence[bool], candidate: Sequence[bool]) -> None:
         """Replay a rejection/candidacy history without p-values.
@@ -221,14 +212,15 @@ class _GammaInvesting(OnlineProcedure):
     W[clock] * gamma_1, where base[c] sums the slots before c, so a rejection
     that does not tick (every saffron and saffron-ai rejection) costs O(1).
     ``_s`` caches base over a superblock [c0, c0 + 2048) of clock values, as
-    [first open slot k, base[k], c0, base]: one matrix product
-    (``_far_field``) pays the final slots before c0 out to all 2048 values, and
-    each later slot adds its window to the rest once the clock has passed it,
-    from the gamma row ``_g`` and its alpha multiple ``_ag``, both formed
-    once per machine.  ``next_level`` makes both updates lazily and in
-    slot order, so the levels do not depend on when it is called.  Subclasses
-    turn s_t into the level pair in ``_levels``, which both the scalar machine
-    and the batched kernel call.
+    [first open slot k, base[k], c0, base].  The first superblock starts at
+    zero; entering a later one, a matrix product (``_far_field``) pays the
+    final slots before c0 out to all 2048 values.  Each slot the clock passes
+    then adds its window to the rest of the superblock, from the gamma row
+    ``_g`` and its alpha multiple ``_ag``, both formed once per machine.
+    ``next_level`` makes both updates lazily and in slot order, so the levels
+    do not depend on when it is called.  Subclasses turn s_t into the level
+    pair in ``_levels(s, minimum)``: a float s with ``min`` for the scalar
+    machine, the batched kernel's array with ``np.minimum``.
     """
 
     _ticks_on_candidates = False
@@ -247,11 +239,8 @@ class _GammaInvesting(OnlineProcedure):
         # alpha is the weight of most lord slots and of each saffron slot
         # with one rejection
         self._ag = self.alpha * self._g
-        self._s = self._far_field(0)
-
-    def _levels(self, s, minimum=min):
-        """The (alpha_t, lambda_t) pair at payout s (floats, or arrays with np.minimum)."""
-        raise NotImplementedError
+        # the first superblock has no slots before it, so its far field is zero
+        self._s = [0, 0.0, 0, np.zeros(_SUPERBLOCK)]
 
     def next_level(self) -> tuple[float, float]:
         return self._levels(self._payout())
@@ -277,11 +266,11 @@ class _GammaInvesting(OnlineProcedure):
         + b] = sum_v X[a, v] G[v, b], with X[a, v] = Wrev[v - a * _ROW] the
         reversed slots before c0 and G[v, b] = gamma_{2 + v + b}, both window
         views copied (BLAS takes only unit strides), _CHUNK values of v at a
-        time.  The first superblock has no slots before it and no product."""
+        time.  Called only for c >= _SUPERBLOCK."""
         c0 = c - c % _SUPERBLOCK
         g = self.gamma.head(c0 + _SUPERBLOCK)
         far = np.zeros((_SUPERBLOCK // _ROW, _ROW))
-        span = c0 + _SUPERBLOCK - _ROW if c0 else 0  # X[a, v] = 0 for v >= span
+        span = c0 + _SUPERBLOCK - _ROW  # X[a, v] = 0 for v >= span
         wrev = np.zeros(span + _SUPERBLOCK - _ROW)
         wrev[_SUPERBLOCK - _ROW : _SUPERBLOCK - _ROW + c0] = self._weights[:c0][::-1]
         for v in range(0, span, _CHUNK):

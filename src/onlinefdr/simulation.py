@@ -102,23 +102,20 @@ def generate_stream(model: DataModel, rng: np.random.Generator) -> tuple[np.ndar
     k = int((~is_null).sum())
     if isinstance(model.kind, GaussianMean):
         z = rng.standard_normal(T)
-        if k:
-            z[~is_null] += model.kind.mu_c + rng.standard_normal(k)
+        z[~is_null] += model.kind.mu_c + rng.standard_normal(k)
         p = normal_sf(z)
     else:
         p = rng.random(T)
-        if k:
-            # Beta(m, n) as a ratio of two gamma draws (Marsaglia-Tsang sampler).
-            # At tiny shapes both draws can be 0.0, and 0/0 is NaN: those
-            # entries are redrawn by numpy's beta sampler, after all other draws.
-            x = rng.standard_gamma(model.kind.m, size=k)
-            y = rng.standard_gamma(model.kind.n, size=k)
-            with np.errstate(invalid="ignore"):
-                alt = x / (x + y)
-            nan = np.isnan(alt)
-            if nan.any():
-                alt[nan] = rng.beta(model.kind.m, model.kind.n, size=int(nan.sum()))
-            p[~is_null] = alt
+        # Beta(m, n) as a ratio of two gamma draws (Marsaglia-Tsang sampler).  At
+        # tiny shapes both draws can be 0.0, and 0/0 is NaN: numpy's beta sampler
+        # redraws those after all other draws.  A size-0 draw takes nothing.
+        x = rng.standard_gamma(model.kind.m, size=k)
+        y = rng.standard_gamma(model.kind.n, size=k)
+        with np.errstate(invalid="ignore"):
+            alt = x / (x + y)
+        nan = np.isnan(alt)
+        alt[nan] = rng.beta(model.kind.m, model.kind.n, size=int(nan.sum()))
+        p[~is_null] = alt
     return p, is_null
 
 

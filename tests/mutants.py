@@ -99,8 +99,8 @@ MUTANTS = (
     Mutant(
         "far-span-short",
         "procedures.py",
-        "span = c0 + _SUPERBLOCK - _ROW if c0 else 0",
-        "span = c0 + _SUPERBLOCK - 2 * _ROW if c0 else 0",
+        "span = c0 + _SUPERBLOCK - _ROW",
+        "span = c0 + _SUPERBLOCK - 2 * _ROW",
         (BOUNDARIES,),
     ),
     Mutant(

@@ -680,6 +680,11 @@ TRANSCRIPT = [
          code=1, err="error: config line 3: expected 'key = value', got 'alpha 0.05'\n"),
     case("config-unreadable", ["sweep", "--config", "missing.cfg"], code=1,
          err="error: cannot read config file: [Errno 2] No such file or directory: 'missing.cfg'\n"),
+    # a config file that is not UTF-8 is a usage error, as an unreadable one is
+    case("config-undecodable", ["sweep", "--config", "latin1.cfg"],
+         files={"latin1.cfg": b"# caf\xe9\nalpha = 0.05\n"}, code=1,
+         err="error: cannot read config file: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+             "invalid continuation byte\n"),
     case("stream-two-procedures", ["stream", *A, "--procedure", "saffron,lord"], code=1,
          err="error: stream mode takes exactly one procedure\n"),
     case("stream-two-gammas", ["stream", *A, "--gamma", "power:1.6,power:2"], code=1,
@@ -905,5 +910,5 @@ def test_transcript(argv, stdin, files, code, out, err, tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text.encode() if isinstance(text, str) else text)
     assert run_cli(capsys, argv, stdin, monkeypatch) == (code, out, err)

@@ -304,6 +304,22 @@ def test_run_rejects_bad_pvalues(g2):
 
 
 @pytest.mark.parametrize("name", PROCEDURE_NAMES)
+def test_empty_runs(name, g16):
+    proc = make_procedure(name, ALPHA, W0, g16)
+    drive(proc, [0.001, 0.9, 0.3])
+    t, levels = proc.t, proc.next_level()
+    trace = proc.run([])
+    for field in ("pvalues", "alpha", "lam", "rejected", "candidate"):
+        assert getattr(trace, field).shape == (0,), field
+    assert (proc.t, proc.next_level()) == (t, levels)
+    traces = proc.run_batch(np.empty((3, 0)))
+    assert len(traces) == 3
+    assert all(getattr(tr, f).shape == (0,) for tr in traces for f in ("alpha", "rejected"))
+    assert proc.run_batch(np.empty((0, 5))) == []
+    assert (proc.t, proc.next_level()) == (t, levels)
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
 def test_run_batch_rows_do_not_depend_on_the_batch(name, g16):
     # every row its own signal fraction, so the rows' clocks and wealth drift apart
     rng = np.random.default_rng(23)

@@ -99,6 +99,22 @@ def test_beta_stream_is_a_ratio_of_two_gamma_draws():
     assert pvalues.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("kind", [GaussianMean(3.0), BetaAlternative(0.5, 5.0)])
+def test_all_null_stream_draws_only_labels_and_nulls(kind):
+    # pi1 = 0: the size-0 signal draws take nothing from the generator
+    gen = trial_rng(5, 2)
+    pvalues, is_null = generate_stream(DataModel(kind, pi1=0.0, T=500), gen)
+    rng = trial_rng(5, 2)
+    rng.random(500)
+    if isinstance(kind, GaussianMean):
+        expected = normal_sf(rng.standard_normal(500))
+    else:
+        expected = rng.random(500)
+    assert is_null.all()
+    assert pvalues.tobytes() == expected.tobytes()
+    assert gen.random() == rng.random()  # and nothing else was drawn
+
+
 def test_label_fraction_tracks_pi1():
     model = DataModel(GaussianMean(2.0), pi1=0.3, T=50_000)
     _, is_null = generate_stream(model, np.random.default_rng(2))
