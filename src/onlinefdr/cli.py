@@ -17,6 +17,9 @@ name.  Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import codecs
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from typing import IO, Any, Callable, Iterator, Sequence
@@ -147,7 +150,7 @@ def _settings(args: argparse.Namespace) -> dict[str, Any]:
     file_cfg: dict[str, str] = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
@@ -198,8 +201,11 @@ def _opened(path: str | None, mode: str, default: IO[str]) -> Iterator[IO]:
 
 def _read_pvalues(fin: IO[bytes]) -> Iterator[float | ValueError]:
     """Each non-blank line's p-value, or the error naming a bad line, one line at a time.
-    Lines are decoded as UTF-8; an undecodable byte is quoted as a ``\\udcXX`` escape."""
+    Lines are decoded as UTF-8; an undecodable byte is quoted as a ``\\udcXX`` escape.
+    A byte-order mark is dropped at the start of the input only."""
     for lineno, line in enumerate(iter(fin.readline, b""), start=1):
+        if lineno == 1:
+            line = line.removeprefix(codecs.BOM_UTF8)
         text = line.decode("utf-8", "surrogateescape").strip()
         if not text:
             continue
@@ -229,6 +235,15 @@ def _handle_sweep(args: argparse.Namespace, s: dict[str, Any]) -> int:
         return 0
 
 
+def _same_file(fin: IO[bytes], path: str) -> bool:
+    """Whether ``path`` is the regular file that ``fin`` reads, through any link."""
+    try:
+        st = os.fstat(fin.fileno())
+        return stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(path))
+    except OSError:  # no such path, or an input with no file descriptor
+        return False
+
+
 def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
     """Decide each line as ``observe`` would, through ``_decide`` (no record),
     and print it as bytes; a level pair is checked and formatted only when it
@@ -241,6 +256,8 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
     pair = None
     # --out is opened last, so that a failed set-up leaves an existing file as it was
     with _opened(args.input, "rb", sys.stdin) as fin:
+        if args.out and _same_file(fin, args.out):
+            raise UsageError(f"--out names the input file: {args.out}")
         with _opened(args.out, "wb", sys.stdout) as out:
             out.write(f"{STREAM_HEADER}\n".encode())
             out.flush()

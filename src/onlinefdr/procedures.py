@@ -29,7 +29,8 @@ Implemented procedures:
   spends a gamma-scheduled fraction of current wealth per test.
 
 The first three share one payout kernel on a clock of non-candidate steps
-(see ``_GammaInvesting``): a candidate step and a rejection that does not
+(see ``_GammaInvesting``), whose slot store grows by one weight a tick, so
+the clock is its last index: a candidate step and a rejection that does not
 tick cost O(1), a tick past a weighted slot an O(2048) update of cached
 payouts, and each 2048 clock values past the first one matrix product; ``run``
 re-reads the level only after ``_apply`` reports a tick or a rejection.
@@ -43,6 +44,7 @@ All step counters, rejection times, and gamma indices are 1-based.
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -206,11 +208,12 @@ class _GammaInvesting(OnlineProcedure):
     ``_reward``, state that is alpha - W0 until the first rejection and alpha
     after it), where C_j counts the candidates strictly between tau_j and t
     (none for lord).  A clock ticks on every non-candidate step (every step
-    for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j): a rejection
-    adds its weight at slot ``clock`` of one dense array, merging with
-    windows opened at the same clock value.  s_t is base[clock] +
-    W[clock] * gamma_1, where base[c] sums the slots before c, so a rejection
-    that does not tick (every saffron and saffron-ai rejection) costs O(1).
+    for lord), so t - tau_j - C_j = 1 + clock - clock(tau_j).  Each tick
+    appends a slot to the slot store ``_weights`` ([W0] at first), so the
+    clock is its last index; a rejection adds its weight there, merging with
+    windows opened at the same clock value.  s_t is base[clock] + W[clock] *
+    gamma_1, where base[c] sums the slots before c: O(1) for a rejection
+    that does not tick (every saffron and saffron-ai rejection).
     ``_s`` caches base over a superblock [c0, c0 + 2048) of clock values, as
     [first open slot k, base[k], c0, base].  The first superblock starts at
     zero; entering a later one, a matrix product (``_far_field``) pays the
@@ -230,10 +233,8 @@ class _GammaInvesting(OnlineProcedure):
         if not 0.0 < w0 <= self.alpha:
             raise ValueError(f"initial wealth must lie in (0, alpha], got {w0}")
         self.w0 = float(w0)
-        self._clock = 0
         self._reward = self.alpha - self.w0
-        self._weights = np.zeros(1024)
-        self._weights[0] = self.w0
+        self._weights = array("d", [self.w0])
         self._g1 = gamma[1]
         self._g = gamma.head(_SUPERBLOCK)
         # alpha is the weight of most lord slots and of each saffron slot
@@ -246,33 +247,34 @@ class _GammaInvesting(OnlineProcedure):
         return self._levels(self._payout())
 
     def _payout(self) -> float:
-        c, s = self._clock, self._s
+        c, s = len(self._weights) - 1, self._s
         if s[0] < c:  # slots s[0] .. c - 1 have closed since the last call
             k, _, c0, base = s
             if c >= c0 + len(base):
                 k, _, c0, base = s = self._s = self._far_field(c)
             w, alpha = self._weights, self.alpha
             for k in range(k, c):
-                wk = w.item(k)
+                wk = w[k]
                 if wk == alpha:
                     base[k + 1 - c0 :] += self._ag[1 : c0 + len(base) - k]
                 elif wk:
                     base[k + 1 - c0 :] += wk * self._g[1 : c0 + len(base) - k]
             s[0], s[1] = c, base.item(c - c0)
-        return s[1] + self._weights.item(c) * self._g1
+        return s[1] + self._weights[c] * self._g1
 
     def _far_field(self, c: int) -> list:
         """A fresh cache for the superblock holding clock value c: far[a * _ROW
         + b] = sum_v X[a, v] G[v, b], with X[a, v] = Wrev[v - a * _ROW] the
         reversed slots before c0 and G[v, b] = gamma_{2 + v + b}, both window
         views copied (BLAS takes only unit strides), _CHUNK values of v at a
-        time.  Called only for c >= _SUPERBLOCK."""
+        time.  Called only for c >= _SUPERBLOCK.  Its view of the slots dies
+        with its statement: the store cannot grow while a view of it lives."""
         c0 = c - c % _SUPERBLOCK
         g = self.gamma.head(c0 + _SUPERBLOCK)
         far = np.zeros((_SUPERBLOCK // _ROW, _ROW))
         span = c0 + _SUPERBLOCK - _ROW  # X[a, v] = 0 for v >= span
         wrev = np.zeros(span + _SUPERBLOCK - _ROW)
-        wrev[_SUPERBLOCK - _ROW : _SUPERBLOCK - _ROW + c0] = self._weights[:c0][::-1]
+        wrev[_SUPERBLOCK - _ROW : _SUPERBLOCK - _ROW + c0] = np.frombuffer(self._weights, count=c0)[::-1]
         for v in range(0, span, _CHUNK):
             m = min(_CHUNK, span - v)
             x = sliding_window_view(wrev[v : v + _SUPERBLOCK - _ROW + m], m)[::-_ROW]
@@ -286,11 +288,9 @@ class _GammaInvesting(OnlineProcedure):
         # window starts one slot later; saffron's rejection (a candidate) never does.
         ticks = self._ticks_on_candidates or not candidate
         if ticks:
-            self._clock += 1
-            if self._clock == len(self._weights):
-                self._weights = np.concatenate([self._weights, np.zeros_like(self._weights)])
+            self._weights.append(0.0)
         if rejected:
-            self._weights[self._clock] += self._reward
+            self._weights[-1] += self._reward
             self._reward = self.alpha
         return ticks or rejected
 

@@ -60,6 +60,15 @@ MUTANTS = (
         "+= self._reward\n",
         (GOLDEN, EDGES),
     ),
+    # A rejection's weight goes to the slot of the clock after its tick: lord's
+    # rejections tick, so this puts each one in the slot its tick just closed.
+    Mutant(
+        "rejection-slot-before-tick",
+        "procedures.py",
+        "self._weights[-1] += self._reward",
+        "self._weights[-1 - ticks] += self._reward",
+        (GOLDEN, EDGES),
+    ),
     Mutant(
         "batch-reward-first-alpha",
         "procedures.py",
@@ -127,8 +136,8 @@ MUTANTS = (
     Mutant(
         "far-slot-c0-1-dropped",
         "procedures.py",
-        "wrev[_SUPERBLOCK - _ROW : _SUPERBLOCK - _ROW + c0] = self._weights[:c0][::-1]",
-        "wrev[_SUPERBLOCK - _ROW + 1 : _SUPERBLOCK - _ROW + c0] = self._weights[: c0 - 1][::-1]",
+        "wrev[_SUPERBLOCK - _ROW : _SUPERBLOCK - _ROW + c0] = np.frombuffer(self._weights, count=c0)[::-1]",
+        "wrev[_SUPERBLOCK - _ROW + 1 : _SUPERBLOCK - _ROW + c0] = np.frombuffer(self._weights, count=c0 - 1)[::-1]",
         (EDGES,),
     ),
     # Without the lock, threads growing the cache at once may lose a stretch.

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config handling, stream protocol."""
 
 import io
+import os
 import select
 import subprocess
 import sys
@@ -88,6 +89,36 @@ def test_failed_setup_leaves_the_out_file(argv, err, tmp_path, monkeypatch, caps
     (tmp_path / "o.csv").write_bytes(b"12345678")
     assert run_cli(capsys, [*argv, "--out", "o.csv"], "0.01\n", monkeypatch) == (2, "", err)
     assert (tmp_path / "o.csv").read_bytes() == b"12345678"
+
+
+@pytest.mark.parametrize("link", [None, os.symlink, os.link], ids=["same-name", "symlink", "hard-link"])
+def test_stream_refuses_to_write_over_its_input(link, tmp_path, monkeypatch, capsys):
+    # opening --out would empty the input before a line of it is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_bytes(b"0.001\n0.8\n0.03\n")
+    out = "p.txt"
+    if link:
+        link("p.txt", "o.txt")
+        out = "o.txt"
+    argv = ["stream", "--alpha", "0.05", "--input", "p.txt", "--out", out]
+    assert run_cli(capsys, argv) == (1, "", f"error: --out names the input file: {out}\n")
+    assert (tmp_path / "p.txt").read_bytes() == b"0.001\n0.8\n0.03\n"
+
+
+def test_stream_refuses_to_write_over_its_stdin(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_bytes(b"0.001\n0.8\n")
+    with open("p.txt") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run_cli(capsys, ["stream", "--alpha", "0.05", "--out", "p.txt"])
+    assert (code, err) == (1, "error: --out names the input file: p.txt\n")
+    assert (tmp_path / "p.txt").read_bytes() == b"0.001\n0.8\n"
+
+
+def test_stream_may_share_a_device_between_input_and_out(capsys):
+    # only a regular file is refused: a device, like a terminal, is not emptied by opening it
+    argv = ["stream", "--alpha", "0.05", "--input", os.devnull, "--out", os.devnull]
+    assert run_cli(capsys, argv) == (0, "", "")
 
 
 def test_config_file_supplies_values_and_flags_override(tmp_path, capsys):
@@ -901,7 +932,26 @@ TRANSCRIPT = [
     case("sweep-out-missing-dir",
          ["sweep", *A, "--T", "5", "--trials", "1", "--pi1", "0.5", "--out", "nodir/x.csv"],
          code=2, err="error: [Errno 2] No such file or directory: 'nodir/x.csv'\n"),
-
+    # --out naming the input is refused before it could empty the input
+    case("stream-out-is-input", ["stream", *A, "--input", "p.txt", "--out", "p.txt"],
+         files={"p.txt": STREAM_P}, code=1, err="error: --out names the input file: p.txt\n"),
+    # a byte-order mark is dropped at the very start of a config or p-value input only
+    case("config-bom", ["stream", "--config", "bom.cfg", "--dump-config"],
+         files={"bom.cfg": "\ufeffalpha = 0.05\n"}, code=0,
+         out="procedure = saffron\ngamma = power:1.6\nalpha = 0.05\nw0 = 0.025\nlambda = 0.5\n"
+             "precision = 6\n"),
+    case("stream-bom", ["stream", *A, "--input", "bom.txt"],
+         files={"bom.txt": "\ufeff0.001\n0.8\n\ufeff0.03\n0.0004\n"}, code=2,
+         out=(
+             "t,alpha,lambda,reject,candidate\n"
+             "1,0.00546863,0.5,1,1\n"
+             "2,0.0109373,0.5,0,0\n"
+             "3,0.00360795,0.5,1,1\n"
+         ),
+         err="error: line 3: not a p-value in [0, 1]: '\\ufeff0.03'\n"),
+    case("offline-bom", ["offline", *A], "\ufeff0.001\n0.8\n0.03\n0.0004\n", code=0,
+         out="index,p,rejected\n1,0.001,1\n2,0.8,0\n3,0.03,1\n4,0.0004,1\n",
+         err="threshold: 0.03\n"),
 ]
 
 

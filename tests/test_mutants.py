@@ -1,4 +1,5 @@
-"""The mutation harness in ``mutants.py`` still points at the source it mutates."""
+"""The mutation harness in ``mutants.py`` still points at the source it mutates,
+and each mutant still parses."""
 
 import re
 from pathlib import Path
@@ -13,7 +14,9 @@ def test_each_mutant_text_occurs_once_and_its_tests_exist():
     for m in mutants.MUTANTS:
         assert m.old != m.new, m.name
         assert sum(text.count(m.old) for text in sources) == 1, m.name
-        assert (ROOT / "src" / "onlinefdr" / m.file).read_text().count(m.old) == 1, m.name
+        text = (ROOT / "src" / "onlinefdr" / m.file).read_text()
+        assert text.count(m.old) == 1, m.name
+        compile(text.replace(m.old, m.new), m.file, "exec")  # a mutant that parses
         for test in m.tests:
             path, _, name = test.partition("::")
             assert re.search(rf"^def {re.escape(name)}\(", (ROOT / path).read_text(), re.M), test
