@@ -24,20 +24,11 @@ import sys
 from contextlib import contextmanager
 from typing import IO, Any, Callable, Iterator, Sequence
 
+# simulation and offline are imported by the handlers that use them, so that
+# a cold ``stream`` loads only the decision path
 from . import gamma as gamma_mod
-from . import offline as offline_mod
-from .procedures import PROCEDURE_NAMES
+from .procedures import PROCEDURE_NAMES, make_procedure
 from .records import validate_levels, validate_pvalue
-from .simulation import (
-    DataModel,
-    ProcedureSpec,
-    SimConfig,
-    grid,
-    model_spec,
-    parse_model,
-    sweep,
-    write_csv,
-)
 
 STREAM_HEADER = "t,alpha,lambda,reject,candidate"
 OFFLINE_HEADER = "index,p,rejected"
@@ -85,6 +76,12 @@ def _procedure(raw: str) -> str:
     return name
 
 
+def _model(raw: str) -> str:
+    from .simulation import model_spec, parse_model
+
+    return model_spec(parse_model(raw))
+
+
 def _method(raw: str) -> str:
     # a UsageError of its own: the message carries no "bad value for" prefix
     if raw not in ("bh", "storey-bh"):
@@ -99,7 +96,7 @@ _OPTIONS: dict[str, tuple[Parse, Any]] = {
     "alpha": (_unit_open("alpha"), None),
     "w0": (float, lambda v: v["alpha"] / 2.0),
     "method": (_method, "bh"),
-    "model": (lambda raw: model_spec(parse_model(raw)), "gaussian:3.0"),
+    "model": (_model, "gaussian:3.0"),
     "pi1": (
         _list(_checked("pi1 values", float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")),
         tuple(round(0.1 * k, 1) for k in range(1, 10)),
@@ -217,6 +214,8 @@ def _read_pvalues(fin: IO[bytes]) -> Iterator[float | ValueError]:
 
 
 def _handle_sweep(args: argparse.Namespace, s: dict[str, Any]) -> int:
+    from .simulation import DataModel, ProcedureSpec, SimConfig, grid, parse_model, sweep, write_csv
+
     procs = [
         ProcedureSpec(name, s["alpha"], s["w0"], s["lambda"], g)
         for name in s["procedure"]
@@ -248,9 +247,9 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
     """Decide each line as ``observe`` would, through ``_decide`` (no record),
     and print it as bytes; a level pair is checked and formatted only when it
     differs from the last one (saffron's holds until a tick or a rejection)."""
-    proc = ProcedureSpec(
-        s["procedure"][0], s["alpha"], s["w0"], s["lambda"], s["gamma"][0]
-    ).build()
+    proc = make_procedure(
+        s["procedure"][0], s["alpha"], s["w0"], gamma_mod.from_spec(s["gamma"][0]), s["lambda"]
+    )
     fmt = f".{s['precision']}g"
     errors = 0
     pair = None
@@ -280,6 +279,8 @@ def _handle_stream(args: argparse.Namespace, s: dict[str, Any]) -> int:
 
 
 def _handle_offline(args: argparse.Namespace, s: dict[str, Any]) -> int:
+    from . import offline as offline_mod
+
     with _opened(args.input, "rb", sys.stdin) as fin:
         pvalues = []
         for p in _read_pvalues(fin):

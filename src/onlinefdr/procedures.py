@@ -152,14 +152,19 @@ class OnlineProcedure:
         """Replay a rejection/candidacy history without p-values.
 
         Both bit vectors are required, of equal length, with rejected[i]
-        implying candidate[i].  All of it is checked before any step is
-        replayed, so a bad history changes nothing; the replay evaluates no
-        level and costs O(1) a step.
+        implying candidate[i]; each entry is a bool or a number equal to 0 or
+        1.  All of it is checked before any step is replayed, so a bad history
+        changes nothing; the replay evaluates no level and costs O(1) a step.
         """
-        r = np.asarray(rejected, dtype=bool)
-        c = np.asarray(candidate, dtype=bool)
+        r, c = np.asarray(rejected), np.asarray(candidate)
         if r.ndim != 1 or r.shape != c.shape:
             raise ValueError(f"need two 1-D bit vectors of one length: {r.shape}, {c.shape}")
+        bad = ~((r == 0) | (r == 1)) | ~((c == 0) | (c == 1))
+        if bad.any():
+            i = int(bad.argmax())
+            pair = r.tolist()[i], c.tolist()[i]
+            raise ValueError(f"history entry {i} is not a pair of 0/1 bits: {pair}")
+        r, c = r.astype(bool), c.astype(bool)
         if (r & ~c).any():
             raise ValueError("infeasible history: a rejection must be a candidate")
         for ri, ci in zip(r.tolist(), c.tolist()):

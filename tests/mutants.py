@@ -1,4 +1,5 @@
-"""Mutation checks for the payout kernel and the gamma cache.
+"""Mutation checks for the payout kernel, the gamma cache, the history check
+and the package's lazy exports.
 
 Each mutant is one plausible slip: a file under ``src/onlinefdr``, an exact
 text that occurs once in the source, the text that replaces it, and the test
@@ -148,6 +149,24 @@ MUTANTS = (
         "        if True:\n",
         ("tests/test_gamma.py::test_concurrent_reads_equal_a_serial_read",),
         runs=5,
+    ),
+    # Without the bit check, a history entry such as 0.5 or NaN replays as a rejection.
+    Mutant(
+        "history-bit-check-dropped",
+        "procedures.py",
+        "        if bad.any():\n",
+        "        if False:\n",
+        ("tests/test_procedures.py::test_history_of_non_bits_raises_naming_the_entry",),
+    ),
+    # A lazy export that names the wrong module: simulation re-exports only
+    # two of procedures' names, and importing it loads the sweep machinery.
+    Mutant(
+        "export-wrong-module",
+        "__init__.py",
+        '("procedures", "PROCEDURE_NAMES',
+        '("simulation", "PROCEDURE_NAMES',
+        ("tests/test_exports.py::test_each_name_is_its_defining_module_object",
+         "tests/test_cli.py::test_cli_import_leaves_heavy_modules_unloaded"),
     ),
 )
 

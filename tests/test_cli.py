@@ -398,16 +398,19 @@ def test_console_entry_point_runs():
 def test_cli_import_leaves_heavy_modules_unloaded():
     # each is imported only where it is used: scipy for normal_sf and the beta
     # tail, the process pool for a parallel sweep, fractions (which loads
-    # decimal) for an offline near-tie
-    heavy = ["scipy", "concurrent.futures", "fractions", "decimal"]
-    result = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, onlinefdr.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    # decimal) for an offline near-tie; simulation (which loads estimators)
+    # by sweep, and offline by the offline command
+    heavy = ["scipy", "concurrent.futures", "fractions", "decimal",
+             "onlinefdr.simulation", "onlinefdr.offline", "onlinefdr.estimators"]
+    for statement in ("import onlinefdr.cli", "from onlinefdr import Saffron, from_spec"):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; {statement}; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n", statement
 
 
 def test_stream_memory_stays_small(tmp_path):

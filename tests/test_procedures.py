@@ -537,3 +537,26 @@ def test_monotonicity_spot_checks(pairs, g16):
         a_lo, l_lo = lo_proc.next_level()
         assert a_hi >= a_lo - 1e-12
         assert l_hi >= l_lo - 1e-12
+
+
+@pytest.mark.parametrize("name", PROCEDURE_NAMES)
+@pytest.mark.parametrize(
+    "rejected, candidate, entry",
+    [
+        ([0.5, 2], [0.5, 7], 0),
+        ([True, False, 1], [1.0, float("nan"), True], 1),
+        ([0, 1, 0], [0, 1, "1"], 0),  # numpy reads every entry of the list as text
+        ([False, None], [True, True], 1),
+    ],
+    ids=["fractions", "nan-candidate", "text", "none"],
+)
+def test_history_of_non_bits_raises_naming_the_entry(name, rejected, candidate, entry, g16):
+    proc, twin = (make_procedure(name, ALPHA, W0, g16) for _ in range(2))
+    with pytest.raises(ValueError, match=f"history entry {entry} "):
+        proc.load_history(rejected, candidate)
+    assert proc.t == 1
+    assert proc.next_level() == twin.next_level()
+    proc.load_history([1, 0, 0.0, True], [1.0, 1, 0, np.True_])  # numbers equal to 0 or 1
+    twin.load_history([True, False, False, True], [True, True, False, True])
+    assert proc.t == twin.t == 5
+    assert proc.next_level() == twin.next_level()
