@@ -16,8 +16,8 @@ from importlib import import_module as _import_module
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("estimators", "TrialSummary aggregate fdp_hat_lord fdp_hat_saffron fdp_oracle"),
-    ("gamma", "GammaSequence beta_optimal from_spec log_optimal power_law"),
-    ("offline", "OfflineResult bh storey_bh storey_pi0"),
+    ("gamma", "GammaSequence from_spec log_optimal power_law"),
+    ("offline", "OfflineResult bh storey_bh"),
     ("procedures", "PROCEDURE_NAMES AdaptiveSaffron AlphaInvesting Lord OnlineProcedure Saffron"
                    " make_procedure"),
     ("records", "DecisionRecord StreamTrace TrialResult fdp_from_flags power_from_flags"

@@ -2,22 +2,23 @@
 
 Every online procedure in this package pays out its error budget over future
 tests according to a positive, non-increasing sequence ``gamma_1, gamma_2, ...``
-that sums to one.  The constructors here build the three standard families:
+that sums to one.  ``GammaSequence(spec)`` builds one of three standard
+families from its spec text:
 
-* ``power_law(s)``:      gamma_j proportional to j**-s, s > 1
-* ``log_optimal()``:     gamma_j proportional to log(max(j,2)) / (j * exp(sqrt(log j)))
-* ``beta_optimal(m)``:   gamma_j proportional to (log(max(j,2)) / j)**(1/m), 0 < m < 1
+* ``power:<s>``:      gamma_j proportional to j**-s, s > 1
+* ``log-optimal``:    gamma_j proportional to log(max(j,2)) / (j * exp(sqrt(log j)))
+* ``beta:<m>``:       gamma_j proportional to (log(max(j,2)) / j)**(1/m), 0 < m < 1
 
 A family is its raw weights and their analytic tail integral, listed once in
 ``_FAMILIES`` with its spec name and parameter range; one parser reads that
-table for the constructors and for spec text (``power:1.6``, ``beta:0.5``).
+table for every spec.  ``from_spec`` caches one sequence per spec text.
 Normalization is numeric: the first 1e5 raw weights (``_TRUNCATION``) plus the
 Euler-Maclaurin tail ``int_{N+1}^inf f + f(N+1)/2 - f'(N+1)/12``, with the
 family's tail integral and f' the central difference ``(f(N+2) - f(N)) / 2``,
 streamed a stretch at a time into one exactly rounded ``math.fsum``: a build
 takes a few milliseconds and holds no 1e5-term array.  For the power law the
 sum is ``zeta(s)`` to within an ulp or so.  Raw weights are forced
-non-increasing by a running minimum, which only matters for ``beta_optimal``
+non-increasing by a running minimum, which only matters for the beta family
 at very small j.  A sequence caches gamma_j only as far as it has been read,
 each stretch divided by the normalizer once, so a cached read is a lookup.
 """
@@ -67,7 +68,8 @@ class GammaSequence:
     (before the division) and the cache (after it) share one helper.
     """
 
-    def __init__(self, spec: str, raw: Raw, tail_integral: Tail):
+    def __init__(self, spec: str):
+        spec, raw, tail_integral = _parse(spec)
         # Raw weights only decrease, so a zero here means gamma_j = 0 from
         # some j on: the sequence would not be positive.
         if not _raw_at(raw, _POSITIVE_THROUGH) > 0.0:
@@ -212,17 +214,12 @@ def _parse(spec: str) -> tuple[str, Raw, Tail]:
 
 def power_law(s: float) -> GammaSequence:
     """gamma_j proportional to j**-s.  Requires s > 1 for summability."""
-    return GammaSequence(*_parse(f"power:{float(s)!r}"))
+    return GammaSequence(f"power:{float(s)!r}")
 
 
 def log_optimal() -> GammaSequence:
     """gamma_j proportional to log(max(j,2)) / (j * exp(sqrt(log j)))."""
-    return GammaSequence(*_parse("log-optimal"))
-
-
-def beta_optimal(m: float) -> GammaSequence:
-    """gamma_j proportional to (log(max(j,2)) / j)**(1/m).  Requires 0 < m < 1."""
-    return GammaSequence(*_parse(f"beta:{float(m)!r}"))
+    return GammaSequence("log-optimal")
 
 
 def canonical_spec(spec: str) -> str:
@@ -234,4 +231,4 @@ def canonical_spec(spec: str) -> str:
 @lru_cache(maxsize=None)
 def from_spec(spec: str) -> GammaSequence:
     """Build (and cache) a sequence from its text form, e.g. ``power:1.6``."""
-    return GammaSequence(*_parse(spec))
+    return GammaSequence(spec)

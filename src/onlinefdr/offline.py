@@ -30,8 +30,8 @@ class OfflineResult:
     rejected: frozenset[int]
 
 
-def _validated(pvalues: Sequence[float], alpha: float | None = None) -> np.ndarray:
-    if alpha is not None and not 0.0 < alpha < 1.0:
+def _validated(pvalues: Sequence[float], alpha: float) -> np.ndarray:
+    if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     p = validate_pvalues(pvalues, 1)
     if not len(p):
@@ -71,11 +71,6 @@ def _pi0(p: np.ndarray, lam: float) -> float:
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     return float((1 + (p > lam).sum()) / (len(p) * (1.0 - lam)))
-
-
-def storey_pi0(pvalues: Sequence[float], lam: float) -> float:
-    """Estimated fraction of true nulls: (1 + #{P_i > lam}) / (n * (1 - lam))."""
-    return _pi0(_validated(pvalues), lam)
 
 
 def storey_bh(pvalues: Sequence[float], alpha: float, lam: float = 0.5) -> OfflineResult:

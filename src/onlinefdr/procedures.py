@@ -64,11 +64,14 @@ def investing_level(s):
 
 
 class OnlineProcedure:
-    """Common stepping machinery; subclasses implement the level rule and
-    ``_apply`` (advance past one decision, leaving ``t`` to the caller),
-    ``_run`` (advance over a list as ``observe`` would, writing the levels,
-    leaving ``t`` to ``run``) and ``_run_batch`` (the levels and thresholds
-    of (T, B) p-values, as two (T, B) arrays that do not share memory)."""
+    """Common stepping machinery; subclasses implement the level rule
+    ``next_level()`` (the (alpha_t, lambda_t) pair for the current step, a
+    pure read of the rejection/candidacy history before it: calling it any
+    number of times changes no decision), ``_apply`` (advance past one
+    decision, leaving ``t`` to the caller), ``_run`` (advance over a list as
+    ``observe`` would, writing the levels, leaving ``t`` to ``run``) and
+    ``_run_batch`` (the levels and thresholds of (T, B) p-values, as two
+    (T, B) arrays that do not share memory)."""
 
     def __init__(self, alpha: float, gamma: GammaSequence):
         if not 0.0 < alpha < 1.0:
@@ -81,14 +84,6 @@ class OnlineProcedure:
     def t(self) -> int:
         """Index of the next step to be tested (1-based)."""
         return self._t
-
-    def next_level(self) -> tuple[float, float]:
-        """The (alpha_t, lambda_t) pair for the current step.
-
-        A pure read of the rejection/candidacy history before this step:
-        calling it any number of times changes no decision.
-        """
-        raise NotImplementedError
 
     def observe(self, p: float) -> DecisionRecord:
         """Decide p at the current step's ``next_level()`` and advance.

@@ -20,6 +20,7 @@ in, and the sweep output is identical for any worker count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Sequence
 
@@ -66,6 +67,14 @@ class BetaAlternative:
 ModelKind = GaussianMean | BetaAlternative
 
 
+def _integer(field: str, value) -> int:
+    """The value of an integer field, a Python or NumPy integer, as an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{field} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DataModel:
     kind: ModelKind
@@ -75,7 +84,7 @@ class DataModel:
     def __post_init__(self):
         if not 0.0 <= self.pi1 <= 1.0:
             raise ValueError(f"pi1 must lie in [0, 1], got {self.pi1}")
-        if self.T < 1:
+        if _integer("T", self.T) < 1:
             raise ValueError(f"stream length must be >= 1, got {self.T}")
 
 
@@ -142,9 +151,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
+        if _integer("trials", self.trials) < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 

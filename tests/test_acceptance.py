@@ -365,3 +365,35 @@ def test_criterion_9_determinism_byte_identical_csv():
         if csv_bytes(jobs) != first:
             failures.append(f"run with {jobs} workers differs from serial run")
     report("criterion 9: byte-identical CSV across runs and worker counts", failures)
+
+
+CHECKPOINTS = (10, 25, 50, 100, 200, 500, 1000)
+
+
+def test_criterion_10_fdr_control_at_every_checkpoint():
+    # FDR(t) at each checkpoint, from the running counts of criterion 1's streams
+    at = np.array(CHECKPOINTS) - 1
+    failures, mfdr = [], []
+    for pi1 in PI1_GRID:
+        model = DataModel(GaussianMean(3.0), pi1, T)
+        streams = [generate_stream(model, trial_rng(SEED, i)) for i in range(TRIALS)]
+        pvalues = np.array([p for p, _ in streams])
+        null = np.array([is_null for _, is_null in streams])
+        for spec in GAUSSIAN_PROCS:
+            rejected = np.array([trace.rejected for trace in spec.build().run_batch(pvalues)])
+            r = np.cumsum(rejected, axis=1)[:, at]
+            v = np.cumsum(rejected & null, axis=1)[:, at]
+            fdp = v / np.maximum(r, 1)
+            fdr, se = fdp.mean(axis=0), fdp.std(axis=0, ddof=1) / np.sqrt(TRIALS)
+            for k in np.flatnonzero(fdr > ALPHA + 3 * se):
+                failures.append(f"{spec.name} pi1={pi1} t={CHECKPOINTS[k]}: "
+                                f"fdr={fdr[k]:.4f} > {ALPHA + 3 * se[k]:.4f}")
+            if spec.name == "alpha-investing":
+                # it controls mFDR: with initial wealth alpha, E[V(t)] / E[R(t) + 1] <= alpha
+                ratio = v.mean(axis=0) / (r.mean(axis=0) + 1.0)
+                mfdr.append(f"    pi1={pi1}: " + " ".join(f"{x:.4f}" for x in ratio))
+                failures += [f"alpha-investing pi1={pi1} t={CHECKPOINTS[k]}: "
+                             f"E[V]/E[R+1]={ratio[k]:.4f} > {ALPHA}"
+                             for k in np.flatnonzero(ratio > ALPHA)]
+    print(f"\nalpha-investing E[V(t)] / E[R(t) + 1] at t = {CHECKPOINTS}:", *mfdr, sep="\n")
+    report("criterion 10: FDR(t) <= 0.05 + 3 se at every checkpoint to T = 1000", failures)

@@ -105,20 +105,21 @@ def test_beta_shape_edge_builds_a_finite_normalizer():
     # The positivity guard admits shapes from about 0.0179004 up.  At the edge
     # the tail's regularized incomplete gamma is about 3.5e-193, not zero, so
     # its logarithm is finite.
-    seq = G.beta_optimal(0.017901)
+    seq = G.GammaSequence("beta:0.017901")
     assert 0.0 < seq.normalizer < math.inf
     with pytest.raises(ValueError, match="underflow"):
-        G.beta_optimal(0.0179)
+        G.GammaSequence("beta:0.0179")
 
 
-def test_raw_weights_rising_near_the_truncation_point_rejected():
+def test_raw_weights_rising_near_the_truncation_point_rejected(monkeypatch):
     power_raw, power_tail = G._power(1.6)
 
     def rising(j):
         return power_raw(j) * np.where(j > 99_000, 2.0, 1.0)
 
+    monkeypatch.setitem(G._FAMILIES, "rising", (lambda: (rising, power_tail), None))
     with pytest.raises(ValueError, match="not non-increasing near the truncation point"):
-        G.GammaSequence("rising", rising, power_tail)
+        G.GammaSequence("rising")
 
 
 def test_beta_running_min_flattens_small_j(beta05):
@@ -156,9 +157,9 @@ def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         G.power_law(0.5)
     with pytest.raises(ValueError):
-        G.beta_optimal(0.0)
+        G.GammaSequence("beta:0.0")
     with pytest.raises(ValueError):
-        G.beta_optimal(1.0)
+        G.GammaSequence("beta:1.0")
     with pytest.raises(ValueError):
         G.from_spec("nope:1")
     with pytest.raises(ValueError):
@@ -170,10 +171,12 @@ def test_bad_parameters_rejected():
 @pytest.mark.parametrize(
     "build, name, x",
     [(G.power_law, "power", x) for x in (1.0, 0.5, math.inf, math.nan)]
-    + [(G.beta_optimal, "beta", x) for x in (0.0, 1.0, math.nan)],
+    + [pytest.param(lambda m: G.GammaSequence(f"beta:{m!r}"), "beta", x, id=f"GammaSequence-beta-{x}")
+       for x in (0.0, 1.0, math.nan)],
 )
 def test_constructor_and_spec_raise_one_error(build, name, x):
-    # the constructors and spec text are checked by one parser, in one wording
+    # the constructors, the class and the cached specs are checked by one
+    # parser, in one wording
     with pytest.raises(ValueError) as by_spec:
         G.from_spec(f"{name}:{x!r}")
     with pytest.raises(ValueError) as by_constructor:
@@ -246,7 +249,7 @@ def test_concurrent_reads_equal_a_serial_read():
             v for top in order for v in (seq[top], seq.at([top, top // 2 + 1, 1]), seq.head(top)[-5:])
         ]
 
-    shared, alone = G.power_law(1.6), G.power_law(1.6)
+    shared, alone = G.GammaSequence("power:1.6"), G.GammaSequence("power:1.6")
     barrier = threading.Barrier(len(orders))
     results = [None] * len(orders)
 
@@ -267,7 +270,7 @@ def test_concurrent_reads_equal_a_serial_read():
 
 def test_a_first_vector_read_grows_the_cache():
     # a fresh sequence caches nothing, so at() must grow the cache before it reads
-    first, second = G.power_law(1.6), G.power_law(1.6)
+    first, second = G.GammaSequence("power:1.6"), G.GammaSequence("power:1.6")
     assert first.at([5000, 1]).tolist() == [second[5000], second[1]]
 
 
@@ -320,7 +323,8 @@ def test_a_build_holds_no_head_array():
     # scipy.special, which the beta tail imports, is loaded with this module
     tracemalloc.start()
     try:
-        G.power_law(1.63), G.beta_optimal(0.37), G.log_optimal()
+        for spec in ("power:1.63", "beta:0.37", "log-optimal"):
+            G.GammaSequence(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onlinefdr.offline import bh, storey_bh, storey_pi0
+from onlinefdr.offline import _pi0, bh, storey_bh
 
 pvalue_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6
@@ -61,14 +61,14 @@ def test_bh_known_instance():
 
 def test_storey_pi0_formula():
     # n=4, lam=0.5, two p-values above lam: (1 + 2) / (4 * 0.5)
-    assert storey_pi0([0.01, 0.02, 0.6, 0.8], 0.5) == pytest.approx(1.5)
+    assert _pi0(np.array([0.01, 0.02, 0.6, 0.8]), 0.5) == pytest.approx(1.5)
 
 
 def test_storey_pi0_all_above_lambda_at_least_one():
     n = 6
-    pvalues = [0.9] * n
-    assert storey_pi0(pvalues, 0.5) == pytest.approx((1 + n) / (n * 0.5))
-    assert storey_pi0(pvalues, 0.5) >= 1.0
+    pvalues = np.full(n, 0.9)
+    assert _pi0(pvalues, 0.5) == pytest.approx((1 + n) / (n * 0.5))
+    assert _pi0(pvalues, 0.5) >= 1.0
 
 
 def test_storey_known_instance_stricter_than_bh():
@@ -135,7 +135,7 @@ def test_bh_is_permutation_invariant(pvalues, seed):
 def test_storey_rejects_superset_of_bh_when_pi0_below_one(pvalues, lam):
     from hypothesis import assume
 
-    assume(storey_pi0(pvalues, lam) < 1.0)
+    assume(_pi0(np.array(pvalues), lam) < 1.0)
     assert storey_bh(pvalues, 0.1, lam).rejected >= bh(pvalues, 0.1).rejected
 
 

@@ -407,6 +407,20 @@ def test_sweep_of_no_configs_raises():
         sweep([])
 
 
+@pytest.mark.parametrize("field", ["T", "trials", "seed"])
+@pytest.mark.parametrize("value", [10.0, 2.5, "3", None])
+def test_counts_that_are_not_integers_are_refused_naming_the_field(field, value):
+    # refused when built, not later inside numpy's generator or a pool worker
+    def build(v):
+        if field == "T":
+            return DataModel(GaussianMean(3.0), 0.5, v)
+        return base_config(**{field: v})
+
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}$"):
+        build(value)
+    assert build(np.int64(3)) == build(3)  # a NumPy integer is an integer
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DataModel(GaussianMean(3.0), pi1=1.2, T=100)
