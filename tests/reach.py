@@ -2,9 +2,11 @@
 
     python tests/reach.py
 
-The script traces the package with ``sys.settrace`` in two runs, side by side:
+The script traces the package with ``sys.settrace`` over two things, side by
+side:
 
-* tier-1: ``pytest`` over ``tests`` and ``bench``, as ROADMAP.md runs it;
+* tier-1: ``pytest`` over ``tests`` and ``bench``, as ROADMAP.md runs it, in
+  two halves side by side;
 * the program: every ``TRANSCRIPT`` case of ``test_cli.py`` through
   ``cli.main``, one ``python -m onlinefdr.cli stream`` session, a small
   ``sweep`` at ``jobs=1`` and at ``jobs=2``, and ``bench/child.py``'s ``grid``
@@ -43,11 +45,16 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "onlinefdr"
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+# Tier-1 runs in two halves side by side, which together are ROADMAP.md's
+# ``pytest`` over ``tests`` and ``bench``: tracing doubles its time.
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+          "--continue-on-collection-errors"]
+TIER1 = {"bench and acceptance": ["bench", "tests/test_acceptance.py"],
+         "the other tests": ["tests", "--ignore=tests/test_acceptance.py"]}
 
 # Public names that only tests reference, and why each stays.
 KEPT = {
@@ -147,6 +154,8 @@ def read_hits(out: Path) -> dict[str, set[int]]:
 
 
 # ---------------------------------------------------------------- the program
+# This module is imported into every traced interpreter, so the package and
+# numpy are imported only by the functions that use them.
 
 
 def transcript():
@@ -197,6 +206,8 @@ def run_transcript_case(argv, stdin, files, cwd: Path) -> None:
 
 def run_program() -> None:
     """The program's own entry points, each as a user or the benchmark calls it."""
+    import numpy as np
+
     from onlinefdr import (PROCEDURE_NAMES, DataModel, GaussianMean, ProcedureSpec, SimConfig,
                            generate_stream, grid, sweep, trial_rng, write_csv)
 
@@ -215,8 +226,6 @@ def run_program() -> None:
         for jobs in (1, 2):
             write_csv(sweep(grid(base, (0.2, 0.8), procs), jobs=jobs), io.StringIO())
         long, _ = generate_stream(DataModel(GaussianMean(3.0), 0.5, 3000), trial_rng(1, 0))
-        import numpy as np
-
         np.save(tmp / "long.npy", long)
         for argv in child_runs(tmp):
             subprocess.run([sys.executable, *argv], capture_output=True, check=True)
@@ -225,11 +234,13 @@ def run_program() -> None:
 # ---------------------------------------------------------------- the source
 
 
-class Statement:
+class Statement(NamedTuple):
     """One statement: where it is, the lines that run it, and its function."""
 
-    def __init__(self, module: str, node, own: range, scope: str):
-        self.module, self.line, self.own, self.scope = module, node.lineno, own, scope
+    module: str
+    line: int
+    own: range
+    scope: str
 
 
 def statements(path: Path) -> list[Statement]:
@@ -254,7 +265,7 @@ def statements(path: Path) -> list[Statement]:
             end = blocks[0][0].lineno - 1 if blocks else node.end_lineno
             own = range(first, max(first, end) + 1)
             if code_lines.intersection(own):
-                found.append(Statement(module, node, own, scope))
+                found.append(Statement(module, node.lineno, own, scope))
             inner = scope
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
@@ -320,16 +331,18 @@ def main() -> int:
             d.mkdir()
         (site / "sitecustomize.py").write_text(SITECUSTOMIZE.format(tests=str(ROOT / "tests")))
         start = time.perf_counter()
+        # side by side; the program's run is much the shorter, so it is awaited first
         runs = {
-            "tier-1": traced(TIER1, tier1_out, site, ROOT),
             "the program": traced([sys.executable, "-c", PROGRAM.format(tests=str(ROOT / "tests"))],
                                   program_out, site, tmp),
+            **{f"tier-1, {half}": traced(PYTEST + paths, tier1_out, site, ROOT)
+               for half, paths in TIER1.items()},
         }
         failed = False
         for label, proc in runs.items():
             output = proc.communicate()[0]
             tail = output.strip().splitlines()[-1:] or [""]
-            print(f"{label}: exit {proc.returncode} after {time.perf_counter() - start:.1f} s"
+            print(f"{label}: exit {proc.returncode}, done after {time.perf_counter() - start:.1f} s"
                   f"  {tail[0]}")
             if proc.returncode:
                 failed = True

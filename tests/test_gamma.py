@@ -171,8 +171,8 @@ def test_bad_parameters_rejected():
 @pytest.mark.parametrize(
     "build, name, x",
     [(G.power_law, "power", x) for x in (1.0, 0.5, math.inf, math.nan)]
-    + [pytest.param(lambda m: G.GammaSequence(f"beta:{m!r}"), "beta", x, id=f"GammaSequence-beta-{x}")
-       for x in (0.0, 1.0, math.nan)],
+    + [pytest.param(lambda m: G.GammaSequence(f"beta:{m!r}"), "beta", x,
+                    id=f"GammaSequence-beta-{x}") for x in (0.0, 1.0, math.nan)],
 )
 def test_constructor_and_spec_raise_one_error(build, name, x):
     # the constructors, the class and the cached specs are checked by one
